@@ -4,8 +4,8 @@ Subcommands: train, compare, analyze, gradcheck, dimstudy. Every run is
 fully determined by its config file and seed; re-running a command with the
 same inputs reproduces the CSV artifacts byte for byte.
 
-Exit codes: 0 success, 2 config error, 3 diverged loss, 4 insufficient
-data, 5 gradient check failure.
+Exit codes: 0 success, 2 config error, 3 diverged run (non-finite loss or
+collapsed embeddings), 4 insufficient data, 5 gradient check failure.
 """
 
 import argparse
@@ -215,7 +215,10 @@ def _parse_shape(text):
             key = key.strip()
             if not eq or key not in shape:
                 raise ConfigParseError(f"bad shape item {item!r}; keys: n,c,d,input,hidden")
-            shape[key] = int(value)
+            try:
+                shape[key] = int(value)
+            except ValueError:
+                raise ConfigParseError(f"bad shape item {item!r}; values must be integers")
     return shape
 
 
@@ -260,7 +263,10 @@ def _default_experiment() -> ExperimentConfig:
 def cmd_dimstudy(args) -> int:
     experiment = load_config(args.config)
     experiment = _apply_overrides(experiment, args)
-    dims = [int(v) for v in args.dims.split(",") if v.strip()]
+    try:
+        dims = [int(v) for v in args.dims.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigParseError(f"bad --dims {args.dims!r}; expected a comma list of integers")
     if len(dims) < 2:
         raise ConfigParseError("dimstudy needs at least two embedding dimensions")
     out_dir = _prepare_out_dir(experiment, args.out)

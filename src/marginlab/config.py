@@ -38,6 +38,9 @@ class EvalConfig:
             raise ValueError("eval.kfold must be >= 2")
         if any(not 0 < f <= 1 for f in self.far_targets):
             raise ValueError("far targets must lie in (0, 1]")
+        keys = [f"{f:g}" for f in self.far_targets]
+        if len(set(keys)) != len(keys):
+            raise ValueError(f"eval.far_targets repeats a target: {','.join(keys)}")
 
 
 def _parse_int(text):
@@ -106,6 +109,29 @@ SCHEMA = {
     "eval.kfold": (_parse_int, 10),
 }
 
+#: section prefix -> the dataclass its keys construct; "optimizer.*" and the
+#: unprefixed keys are fields of ExperimentConfig itself
+SECTIONS = {
+    "dataset": SyntheticDatasetSpec,
+    "model": ModelSpec,
+    "loss": LossConfig,
+    "schedule": TrainingSchedule,
+    "eval": EvalConfig,
+}
+
+#: how ``flat_values`` writes the parsed values that are not plain scalars
+_FORMATS = {
+    _parse_int_list: lambda values: ",".join(str(v) for v in values),
+    _parse_float_list: lambda values: ",".join(repr(v) for v in values),
+    _parse_variant: lambda variant: variant.value,
+}
+
+
+def _split_key(key):
+    """(section, field name) of a schema key; section "" is ExperimentConfig."""
+    section, _, name = key.rpartition(".")
+    return (section if section in SECTIONS else ""), name
+
 
 @dataclass
 class ExperimentConfig:
@@ -149,43 +175,12 @@ class ExperimentConfig:
 
     def flat_values(self) -> dict:
         """Effective values for every schema key, in schema order."""
-        ds, md, ls, sc, ev = self.dataset, self.model, self.loss, self.schedule, self.eval
-        return {
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "dataset.n_classes": ds.n_classes,
-            "dataset.samples_per_class": ds.samples_per_class,
-            "dataset.input_dim": ds.input_dim,
-            "dataset.concentration": ds.concentration,
-            "dataset.crowding": ds.crowding,
-            "dataset.min_center_cosine": ds.min_center_cosine,
-            "dataset.seed": ds.seed,
-            "model.layer_widths": ",".join(str(w) for w in md.layer_widths),
-            "model.activation": md.activation,
-            "model.init_scale": md.init_scale,
-            "model.seed": md.seed,
-            "loss.variant": ls.variant.value,
-            "loss.s": ls.s,
-            "loss.m": ls.m,
-            "loss.t": ls.t,
-            "loss.alpha": ls.alpha,
-            "loss.m0": ls.m0,
-            "loss.m1": ls.m1,
-            "loss.mv_positive": ls.mv_positive,
-            "schedule.total_epochs": sc.total_epochs,
-            "schedule.lr_initial": sc.lr_initial,
-            "schedule.milestones": ",".join(str(m) for m in sc.milestones),
-            "schedule.decay_factor": sc.decay_factor,
-            "schedule.batch_size": sc.batch_size,
-            "optimizer.momentum": self.momentum,
-            "optimizer.weight_decay": self.weight_decay,
-            "eval.samples_per_class": ev.samples_per_class,
-            "eval.n_positive_pairs": ev.n_positive_pairs,
-            "eval.n_negative_pairs": ev.n_negative_pairs,
-            "eval.n_distractors": ev.n_distractors,
-            "eval.far_targets": ",".join(repr(f) for f in ev.far_targets),
-            "eval.kfold": ev.kfold,
-        }
+        flat = {}
+        for key, (parser, _) in SCHEMA.items():
+            section, name = _split_key(key)
+            value = getattr(getattr(self, section) if section else self, name)
+            flat[key] = _FORMATS[parser](value) if parser in _FORMATS else value
+        return flat
 
     def with_loss(self, loss: LossConfig) -> "ExperimentConfig":
         return replace(self, loss=loss)
@@ -225,83 +220,36 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def build_config(values: dict, explicit=frozenset(), raw_text: str = "") -> ExperimentConfig:
     """Assemble an ExperimentConfig from parsed values, applying defaults."""
-    def get(key):
-        if key in values:
-            return values[key]
-        return SCHEMA[key][1]
-
-    seed = get("seed")
-    variant = get("loss.variant")
-    margin = get("loss.m")
-    if margin is None:
-        margin = default_margin(variant)
-
-    input_dim = get("dataset.input_dim")
-    widths = get("model.layer_widths")
-    if widths is None:
-        widths = (input_dim, 32, 16)
-
-    milestones = get("schedule.milestones")
-    total_epochs = get("schedule.total_epochs")
+    flat = {key: values.get(key, default) for key, (_, default) in SCHEMA.items()}
+    # the keys whose defaults depend on other keys
+    if flat["loss.m"] is None:
+        flat["loss.m"] = default_margin(flat["loss.variant"])
+    if flat["model.layer_widths"] is None:
+        flat["model.layer_widths"] = (flat["dataset.input_dim"], 32, 16)
     if "schedule.milestones" not in explicit:
-        milestones = tuple(m for m in milestones if m < total_epochs)
+        flat["schedule.milestones"] = tuple(
+            m for m in flat["schedule.milestones"] if m < flat["schedule.total_epochs"])
+    for section in ("dataset", "model"):
+        if f"{section}.seed" not in values:
+            flat[f"{section}.seed"] = derive_seed(flat["seed"], section)
 
+    fields = {section: {} for section in ("", *SECTIONS)}
+    for key, value in flat.items():
+        section, name = _split_key(key)
+        fields[section][name] = value
     try:
-        dataset = SyntheticDatasetSpec(
-            n_classes=get("dataset.n_classes"),
-            samples_per_class=get("dataset.samples_per_class"),
-            input_dim=input_dim,
-            concentration=get("dataset.concentration"),
-            crowding=get("dataset.crowding"),
-            min_center_cosine=get("dataset.min_center_cosine"),
-            seed=values.get("dataset.seed", derive_seed(seed, "dataset")),
-        )
-        model = ModelSpec(
-            layer_widths=widths,
-            activation=get("model.activation"),
-            init_scale=get("model.init_scale"),
-            seed=values.get("model.seed", derive_seed(seed, "model")),
-        )
-        loss = LossConfig(
-            variant=variant,
-            s=get("loss.s"),
-            m=margin,
-            t=get("loss.t"),
-            alpha=get("loss.alpha"),
-            m0=get("loss.m0"),
-            m1=get("loss.m1"),
-            mv_positive=get("loss.mv_positive"),
-        )
-        schedule = TrainingSchedule(
-            total_epochs=total_epochs,
-            lr_initial=get("schedule.lr_initial"),
-            milestones=milestones,
-            decay_factor=get("schedule.decay_factor"),
-            batch_size=get("schedule.batch_size"),
-        )
-        eval_cfg = EvalConfig(
-            samples_per_class=get("eval.samples_per_class"),
-            n_positive_pairs=get("eval.n_positive_pairs"),
-            n_negative_pairs=get("eval.n_negative_pairs"),
-            n_distractors=get("eval.n_distractors"),
-            far_targets=get("eval.far_targets"),
-            kfold=get("eval.kfold"),
-        )
+        parts = {section: cls(**fields[section]) for section, cls in SECTIONS.items()}
     except ValueError as exc:
         raise ConfigParseError(str(exc))
 
+    model, dataset = parts["model"], parts["dataset"]
     if model.input_dim != dataset.input_dim:
         raise ConfigParseError(
             f"model.layer_widths starts at {model.input_dim} but dataset.input_dim "
             f"is {dataset.input_dim}", field="model.layer_widths",
         )
-
-    return ExperimentConfig(
-        dataset=dataset, model=model, loss=loss, schedule=schedule, eval=eval_cfg,
-        seed=seed, output_dir=get("output_dir"),
-        momentum=get("optimizer.momentum"), weight_decay=get("optimizer.weight_decay"),
-        raw_text=raw_text, explicit_keys=frozenset(explicit),
-    )
+    return ExperimentConfig(**parts, **fields[""], raw_text=raw_text,
+                            explicit_keys=frozenset(explicit))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -333,7 +281,11 @@ def variant_token_to_loss(token: str, base: ExperimentConfig) -> LossConfig:
             key = key.strip()
             if not eq or key not in ("s", "m", "t", "alpha", "m0", "m1", "mv_positive"):
                 raise ConfigParseError(f"bad variant override {item!r} in {token!r}", field=key)
-            overrides[key] = value.strip() if key == "mv_positive" else float(value)
+            try:
+                overrides[key] = value.strip() if key == "mv_positive" else float(value)
+            except ValueError:
+                raise ConfigParseError(f"bad variant override {item!r} in {token!r}: "
+                                       f"{value.strip()!r} is not a number", field=key)
 
     margin = overrides.pop("m", None)
     if margin is None:

@@ -14,11 +14,16 @@ npcface        per-sample collaborative positive margin plus disentangled
 The hard mask and the collaborative margins are *frozen* auxiliaries: they
 are recomputed from the current cosines every iteration but treated as
 constants by every backward pass, so no gradient flows through the mining
-step. ``finite_difference_check`` follows the same convention.
+step. ``head_forward`` / ``head_backward`` are the one pipeline from raw
+features and weights to the loss and its gradients; training, the gradient
+checks and ``loss_and_gradients`` all call them, and ``central_difference``
+checks them with the auxiliaries held fixed.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +46,35 @@ class Variant(str, Enum):
 
 #: variants whose negative logits depend on the hard mask
 MASKED_VARIANTS = (Variant.MV_SOFTMAX, Variant.NPCFACE)
+
+
+class _Rule(NamedTuple):
+    """What a variant does to the logits (``LossConfig._rule``); every head
+    stage reads this one decision.
+
+    mines          hard negatives (the frozen mask) get s*(t*cos + hard_offset)
+    hard_offset    t - 1 (mv_softmax) or alpha (npcface)
+    positive       None (plain s*cos), "cos" (s*(cos - m)) or "arc" (s*cos(theta + m))
+    collaborative  the positive margin is the mined m_i instead of config.m
+    """
+
+    mines: bool
+    hard_offset: float
+    positive: str | None
+    collaborative: bool
+
+    def require(self, config, mask, margins):
+        """Raise ConfigMismatch when a frozen auxiliary the variant reads is missing."""
+        if self.mines and mask is None:
+            raise ConfigMismatch(f"{config.variant.value} requires a hard mask")
+        if self.collaborative and margins is None:
+            raise ConfigMismatch("npcface requires collaborative margins")
+
+    def positive_margins(self, config, n, margins):
+        """Per-sample margin of the "arc" positive map."""
+        if self.collaborative:
+            return np.asarray(margins, dtype=np.float64)
+        return np.full(n, config.m)
 
 
 @dataclass(frozen=True)
@@ -81,6 +115,20 @@ class LossConfig:
         if self.mv_positive not in ("arc", "cos"):
             raise ValueError(f"mv_positive must be 'arc' or 'cos', got {self.mv_positive!r}")
 
+    @cached_property
+    def _rule(self) -> _Rule:
+        """The variant's logit map; decided once per config because the
+        gradient checks read it on every perturbed evaluation."""
+        variant = self.variant
+        if variant is Variant.NORM_SOFTMAX:
+            positive = None
+        elif variant is Variant.COSFACE or (variant is Variant.MV_SOFTMAX and self.mv_positive == "cos"):
+            positive = "cos"
+        else:
+            positive = "arc"
+        hard_offset = self.alpha if variant is Variant.NPCFACE else self.t - 1.0
+        return _Rule(variant in MASKED_VARIANTS, hard_offset, positive, variant is Variant.NPCFACE)
+
 
 @dataclass
 class GradientBundle:
@@ -106,20 +154,6 @@ def _check_labels(labels, n_rows, n_cols):
     return labels.astype(np.intp)
 
 
-def _require_aux(config, mask, margins):
-    if mask is None:
-        raise ConfigMismatch(f"{config.variant.value} requires a hard mask")
-    if config.variant is Variant.NPCFACE and margins is None:
-        raise ConfigMismatch("npcface requires collaborative margins")
-
-
-def _positive_margins(config, n, margins):
-    """Per-sample positive margin actually applied by the variant."""
-    if config.variant is Variant.NPCFACE:
-        return np.asarray(margins, dtype=np.float64)
-    return np.full(n, config.m)
-
-
 def forward_logits(cosines, labels, config: LossConfig, mask=None, margins=None) -> np.ndarray:
     """Margined logit matrix for one batch.
 
@@ -131,28 +165,21 @@ def forward_logits(cosines, labels, config: LossConfig, mask=None, margins=None)
     n, c = cosines.shape
     labels = _check_labels(labels, n, c)
     rows = np.arange(n)
-
-    if config.variant in MASKED_VARIANTS:
-        _require_aux(config, mask, margins)
+    rule = config._rule
+    rule.require(config, mask, margins)
 
     logits = config.s * cosines
-    if config.variant is Variant.NORM_SOFTMAX:
+    if rule.mines:
+        hard = np.asarray(mask, dtype=bool)
+        logits = np.where(hard, config.s * (config.t * cosines + rule.hard_offset), logits)
+    if rule.positive is None:
         return logits
 
     pos_cos = cosines[rows, labels]
-    if config.variant is Variant.MV_SOFTMAX:
-        hard = np.asarray(mask, dtype=bool)
-        logits = np.where(hard, config.s * (config.t * cosines + (config.t - 1.0)), logits)
-    elif config.variant is Variant.NPCFACE:
-        hard = np.asarray(mask, dtype=bool)
-        logits = np.where(hard, config.s * (config.t * cosines + config.alpha), logits)
-
-    if config.variant is Variant.COSFACE or (
-        config.variant is Variant.MV_SOFTMAX and config.mv_positive == "cos"
-    ):
+    if rule.positive == "cos":
         logits[rows, labels] = config.s * (pos_cos - config.m)
     else:
-        m_pos = _positive_margins(config, n, margins)
+        m_pos = rule.positive_margins(config, n, margins)
         logits[rows, labels] = config.s * cos_shifted(pos_cos, m_pos)
     return logits
 
@@ -214,19 +241,19 @@ def backward_cosines(d_logits, cosines, labels, config: LossConfig, mask=None, m
     labels = _check_labels(labels, n, c)
     rows = np.arange(n)
 
-    if config.variant in MASKED_VARIANTS:
-        _require_aux(config, mask, margins)
+    rule = config._rule
+    rule.require(config, mask, margins)
+
+    if rule.mines:
         hard = np.asarray(mask, dtype=bool)
         factors = np.where(hard, config.s * config.t, config.s)
     else:
         factors = np.full((n, c), config.s)
 
-    if config.variant is Variant.COSFACE or (
-        config.variant is Variant.MV_SOFTMAX and config.mv_positive == "cos"
-    ):
+    if rule.positive == "cos":
         factors[rows, labels] = config.s
-    elif config.variant is not Variant.NORM_SOFTMAX:
-        m_pos = _positive_margins(config, n, margins)
+    elif rule.positive == "arc":
+        m_pos = rule.positive_margins(config, n, margins)
         factors[rows, labels] = _arc_positive_factor(cosines[rows, labels], m_pos, config.s)
     return d_logits * factors
 
@@ -262,70 +289,108 @@ def frozen_auxiliaries(cosines, labels, config: LossConfig):
     """
     from .hardness import collaborative_margin, compute_mask
 
-    if config.variant not in MASKED_VARIANTS:
+    rule = config._rule
+    if not rule.mines:
         return None, None
     mask = compute_mask(cosines, labels, config.m0)
-    if config.variant is Variant.NPCFACE:
+    if rule.collaborative:
         margins = collaborative_margin(cosines, mask, config.m0, config.m1)
     else:
         margins = None
     return mask, margins
 
 
-def loss_and_gradients(raw_features, raw_weights, labels, config: LossConfig,
-                       mask=None, margins=None) -> GradientBundle:
-    """Full forward/backward sweep from raw features and weights.
+@dataclass
+class HeadCache:
+    """What ``head_backward`` reads from the forward pass: the raw inputs,
+    the cosines, the frozen auxiliaries and the softmax probabilities."""
+
+    raw_features: np.ndarray
+    raw_weights: np.ndarray
+    labels: np.ndarray
+    config: LossConfig
+    cosines: np.ndarray
+    mask: np.ndarray | None
+    margins: np.ndarray | None
+    probs: np.ndarray
+
+
+def head_forward(raw_features, raw_weights, labels, config: LossConfig,
+                 mask=None, margins=None):
+    """Batch loss from raw features and weights: returns (loss, HeadCache).
 
     When ``mask``/``margins`` are omitted they are mined from the current
-    cosines (the per-iteration semantics); pass explicit arrays to keep
+    cosines (the per-iteration semantics); pass the cached arrays to keep
     them frozen across evaluations, e.g. for finite differences.
     """
     cosines = cosine_matrix(normalize_rows(raw_features), normalize_rows(raw_weights))
-    if config.variant in MASKED_VARIANTS and mask is None:
+    if mask is None and config._rule.mines:
         mask, margins = frozen_auxiliaries(cosines, labels, config)
-    logits = forward_logits(cosines, labels, config, mask, margins)
-    probs = softmax_probabilities(logits)
+    probs = softmax_probabilities(forward_logits(cosines, labels, config, mask, margins))
     loss = loss_value(probs, labels)
-    d_logits = backward_logits(probs, labels)
-    d_cosines = backward_cosines(d_logits, cosines, labels, config, mask, margins)
-    d_features, d_weights = backward_parameters(d_cosines, raw_features, raw_weights)
+    cache = HeadCache(raw_features, raw_weights, labels, config, cosines, mask, margins, probs)
+    return loss, cache
+
+
+def head_backward(loss: float, cache: HeadCache) -> GradientBundle:
+    """Gradients of ``loss`` at every stage, with the cached auxiliaries frozen."""
+    d_logits = backward_logits(cache.probs, cache.labels)
+    d_cosines = backward_cosines(d_logits, cache.cosines, cache.labels, cache.config,
+                                 cache.mask, cache.margins)
+    d_features, d_weights = backward_parameters(d_cosines, cache.raw_features, cache.raw_weights)
     return GradientBundle(loss, d_logits, d_cosines, d_features, d_weights)
 
 
-def _loss_only(raw_features, raw_weights, labels, config, mask, margins):
-    cosines = cosine_matrix(normalize_rows(raw_features), normalize_rows(raw_weights))
-    logits = forward_logits(cosines, labels, config, mask, margins)
-    return loss_value(softmax_probabilities(logits), labels)
+def loss_and_gradients(raw_features, raw_weights, labels, config: LossConfig,
+                       mask=None, margins=None) -> GradientBundle:
+    """Full forward/backward sweep from raw features and weights; mining
+    follows ``head_forward``."""
+    return head_backward(*head_forward(raw_features, raw_weights, labels, config, mask, margins))
+
+
+def central_difference(loss_fn, tensors, epsilon: float):
+    """Compare analytic gradients with central differences of ``loss_fn()``.
+
+    ``tensors`` lists (name, array, analytic gradient); every coordinate of
+    every array is perturbed in place by +-epsilon and restored, so
+    ``loss_fn`` must read the arrays themselves. The relative error of a
+    coordinate is |analytic - numeric| / max(|analytic|, |numeric|, 1e-12).
+    Returns (max_relative_error, "name[index]" of the worst coordinate).
+    """
+    worst, worst_name = 0.0, ""
+    for name, array, analytic in tensors:
+        for idx in np.ndindex(array.shape):
+            saved = array[idx]
+            array[idx] = saved + epsilon
+            up = loss_fn()
+            array[idx] = saved - epsilon
+            down = loss_fn()
+            array[idx] = saved
+            numeric = (up - down) / (2.0 * epsilon)
+            err = abs(analytic[idx] - numeric) / max(abs(analytic[idx]), abs(numeric), 1e-12)
+            if err > worst:
+                worst, worst_name = err, f"{name}[{idx}]"
+    return worst, worst_name
 
 
 def finite_difference_check(features, weights, labels, config: LossConfig,
                             epsilon: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between analytic and central-difference gradients
+    with respect to the raw features and weights.
 
     The mask and collaborative margins are computed once from the
     unperturbed inputs and held fixed across every perturbed evaluation,
-    matching the frozen-auxiliary backward pass. The relative error of a
-    coordinate is |analytic - numeric| / max(|analytic|, |numeric|, 1e-12).
+    matching the frozen-auxiliary backward pass.
     """
     if not 1e-7 <= epsilon <= 1e-4:
         raise ValueError(f"epsilon must lie in [1e-7, 1e-4], got {epsilon}")
     features = np.array(features, dtype=np.float64)
     weights = np.array(weights, dtype=np.float64)
+    loss, cache = head_forward(features, weights, labels, config)
+    bundle = head_backward(loss, cache)
 
-    cosines = cosine_matrix(normalize_rows(features), normalize_rows(weights))
-    mask, margins = frozen_auxiliaries(cosines, labels, config)
-    bundle = loss_and_gradients(features, weights, labels, config, mask, margins)
+    def loss_fn():
+        return head_forward(features, weights, labels, config, cache.mask, cache.margins)[0]
 
-    worst = 0.0
-    for array, analytic in ((features, bundle.d_features), (weights, bundle.d_weights)):
-        for idx in np.ndindex(array.shape):
-            saved = array[idx]
-            array[idx] = saved + epsilon
-            up = _loss_only(features, weights, labels, config, mask, margins)
-            array[idx] = saved - epsilon
-            down = _loss_only(features, weights, labels, config, mask, margins)
-            array[idx] = saved
-            numeric = (up - down) / (2.0 * epsilon)
-            err = abs(analytic[idx] - numeric) / max(abs(analytic[idx]), abs(numeric), 1e-12)
-            worst = max(worst, err)
-    return worst
+    tensors = [("features", features, bundle.d_features), ("weights", weights, bundle.d_weights)]
+    return central_difference(loss_fn, tensors, epsilon)[0]

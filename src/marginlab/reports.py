@@ -26,16 +26,16 @@ def fmt(value) -> str:
     return repr(float(value))
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_loss_csv(path, log) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["iteration", "epoch", "loss"])
-        for iteration, epoch, loss in log.iterations:
-            w.writerow([iteration, epoch, fmt(loss)])
+    _write_csv(path, ["iteration", "epoch", "loss"],
+               ([iteration, epoch, fmt(loss)] for iteration, epoch, loss in log.iterations))
 
 
 DIAGNOSTIC_COLUMNS = [
@@ -60,44 +60,32 @@ def diagnostics_row(diag) -> dict:
 
 
 def write_diagnostics_csv(path, log) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(DIAGNOSTIC_COLUMNS)
-        for diag in log.epochs:
-            row = diagnostics_row(diag)
-            w.writerow([
-                row["epoch"], fmt(row["mean_loss"]), fmt(row["lr"]),
-                fmt(row["train_accuracy"]), row["n_misclassified"],
-                fmt(row["pearson_r"]), fmt(row["mean_pos_distance"]),
-                fmt(row["mean_neg_distance"]), fmt(row["overlap_rate"]),
-            ])
+    rows = (diagnostics_row(diag) for diag in log.epochs)
+    _write_csv(path, DIAGNOSTIC_COLUMNS, ([
+        row["epoch"], fmt(row["mean_loss"]), fmt(row["lr"]),
+        fmt(row["train_accuracy"]), row["n_misclassified"],
+        fmt(row["pearson_r"]), fmt(row["mean_pos_distance"]),
+        fmt(row["mean_neg_distance"]), fmt(row["overlap_rate"]),
+    ] for row in rows))
 
 
 def write_correlation_csv(path, rows) -> None:
     """rows: iterable of (epoch, pearson_r, n_misclassified)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["epoch", "pearson_r", "n_misclassified"])
-        for epoch, r, n in rows:
-            w.writerow([epoch, fmt(r), n])
+    _write_csv(path, ["epoch", "pearson_r", "n_misclassified"],
+               ([epoch, fmt(r), n] for epoch, r, n in rows))
 
 
 def write_histogram_csv(path, edges, h_mis, h_well) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["bin_left", "bin_right", "h_mis", "h_well"])
-        for i in range(len(h_mis)):
-            w.writerow([fmt(edges[i]), fmt(edges[i + 1]), fmt(h_mis[i]), fmt(h_well[i])])
+    _write_csv(path, ["bin_left", "bin_right", "h_mis", "h_well"],
+               ([fmt(edges[i]), fmt(edges[i + 1]), fmt(h_mis[i]), fmt(h_well[i])]
+                for i in range(len(h_mis))))
 
 
 def write_dimstudy_csv(path, blocks) -> None:
     """blocks: iterable of (dim, edges, density) sharing identical edges."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["dim", "bin_left", "bin_right", "density"])
-        for dim, edges, density in blocks:
-            for i in range(len(density)):
-                w.writerow([dim, fmt(edges[i]), fmt(edges[i + 1]), fmt(density[i])])
+    _write_csv(path, ["dim", "bin_left", "bin_right", "density"],
+               ([dim, fmt(edges[i]), fmt(edges[i + 1]), fmt(density[i])]
+                for dim, edges, density in blocks for i in range(len(density))))
 
 
 def compare_columns(far_targets) -> list:
@@ -110,18 +98,13 @@ def compare_columns(far_targets) -> list:
 
 def write_compare_csv(path, far_targets, rows) -> None:
     """rows: (variant_token, metrics dict from cli.final_metrics)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(compare_columns(far_targets))
-        for token, metrics in rows:
-            cells = [token]
-            cells += [fmt(metrics["tar_at_far"][f"{t:g}"]) for t in far_targets]
-            cells += [
-                fmt(metrics["rank1_accuracy"]), fmt(metrics["pair_accuracy"]),
-                fmt(metrics["final_mean_loss"]), fmt(metrics["train_accuracy"]),
-                fmt(metrics["pearson_r"]), fmt(metrics["overlap_rate"]),
-            ]
-            w.writerow(cells)
+    _write_csv(path, compare_columns(far_targets), ([
+        token,
+        *(fmt(metrics["tar_at_far"][f"{t:g}"]) for t in far_targets),
+        fmt(metrics["rank1_accuracy"]), fmt(metrics["pair_accuracy"]),
+        fmt(metrics["final_mean_loss"]), fmt(metrics["train_accuracy"]),
+        fmt(metrics["pearson_r"]), fmt(metrics["overlap_rate"]),
+    ] for token, metrics in rows))
 
 
 def summary_payload(experiment: ExperimentConfig, command: str) -> dict:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import hardness, losses
 from .data import SyntheticDatasetSpec, generate_dataset
-from .errors import DivergedLoss, EmptyPartition, InsufficientSamples, DegenerateVariance
+from .errors import DegenerateVariance, DivergedLoss, EmptyPartition, InsufficientSamples, ZeroNorm
 from .geometry import cosine_matrix, normalize_rows
 from .model import EmbeddingNet, ModelSpec, init_class_weights
 from .optim import OptimizerState, TrainingSchedule, sgd_step
@@ -89,7 +89,8 @@ def train(experiment) -> TrainResult:
     """Run the full schedule described by an ExperimentConfig.
 
     Deterministic given the config seeds. Raises DivergedLoss (with the
-    partial log attached) the moment a non-finite loss appears.
+    partial log attached) the moment a non-finite loss appears or the
+    embeddings collapse to zero norm.
     """
     dataset_spec: SyntheticDatasetSpec = experiment.dataset
     model_spec: ModelSpec = experiment.model
@@ -110,37 +111,36 @@ def train(experiment) -> TrainResult:
 
     log = TrainingLog()
     iteration = 0
-    for epoch in range(1, schedule.total_epochs + 1):
-        state.lr = schedule.lr_at(epoch)
-        order = named_rng(experiment.shuffle_seed, "shuffle", epoch).permutation(len(labels))
-        for sl in _batch_slices(len(labels), schedule.batch_size):
-            idx = order[sl]
-            batch, batch_labels = inputs[idx], labels[idx]
+    try:
+        for epoch in range(1, schedule.total_epochs + 1):
+            state.lr = schedule.lr_at(epoch)
+            order = named_rng(experiment.shuffle_seed, "shuffle", epoch).permutation(len(labels))
+            for sl in _batch_slices(len(labels), schedule.batch_size):
+                idx = order[sl]
+                batch, batch_labels = inputs[idx], labels[idx]
 
-            emb, cache = model.forward(batch)
-            cosines = cosine_matrix(normalize_rows(emb), normalize_rows(class_weights))
-            mask, margins = losses.frozen_auxiliaries(cosines, batch_labels, config)
-            logits = losses.forward_logits(cosines, batch_labels, config, mask, margins)
-            probs = losses.softmax_probabilities(logits)
-            loss = losses.loss_value(probs, batch_labels)
+                emb, cache = model.forward(batch)
+                loss, head = losses.head_forward(emb, class_weights, batch_labels, config)
 
-            iteration += 1
-            log.iterations.append((iteration, epoch, loss))
-            if not math.isfinite(loss):
-                raise DivergedLoss(
-                    f"non-finite loss at iteration {iteration} (epoch {epoch})", log=log
-                )
+                iteration += 1
+                log.iterations.append((iteration, epoch, loss))
+                if not math.isfinite(loss):
+                    raise DivergedLoss(
+                        f"non-finite loss at iteration {iteration} (epoch {epoch})", log=log
+                    )
 
-            d_logits = losses.backward_logits(probs, batch_labels)
-            d_cos = losses.backward_cosines(d_logits, cosines, batch_labels, config, mask, margins)
-            d_emb, d_weights = losses.backward_parameters(d_cos, emb, class_weights)
-            grads = model.backward(cache, d_emb) + [d_weights]
-            sgd_step(state, params, grads)
+                bundle = losses.head_backward(loss, head)
+                grads = model.backward(cache, bundle.d_features) + [bundle.d_weights]
+                sgd_step(state, params, grads)
 
-        cosines = full_set_cosines(model, class_weights, inputs)
-        log.epochs.append(epoch_diagnostics(
-            epoch, state.lr, log.epoch_mean_loss(epoch), cosines, labels, config.m0,
-        ))
+            log.epochs.append(epoch_diagnostics(
+                epoch, state.lr, log.epoch_mean_loss(epoch),
+                full_set_cosines(model, class_weights, inputs), labels, config.m0,
+            ))
+    except ZeroNorm as exc:
+        raise DivergedLoss(
+            f"collapsed embeddings after iteration {iteration} (epoch {epoch}): {exc}", log=log
+        ) from exc
     return TrainResult(model=model, class_weights=class_weights, log=log)
 
 
@@ -159,42 +159,19 @@ def end_to_end_check(model: EmbeddingNet, class_weights, inputs, labels,
     class_weights = np.array(class_weights, dtype=np.float64)
 
     emb, cache = model.forward(inputs)
-    cosines = cosine_matrix(normalize_rows(emb), normalize_rows(class_weights))
-    mask, margins = losses.frozen_auxiliaries(cosines, labels, config)
-
-    def loss_now():
-        e, _ = model.forward(inputs)
-        cos = cosine_matrix(normalize_rows(e), normalize_rows(class_weights))
-        logits = losses.forward_logits(cos, labels, config, mask, margins)
-        return losses.loss_value(losses.softmax_probabilities(logits), labels)
-
-    logits = losses.forward_logits(cosines, labels, config, mask, margins)
-    probs = losses.softmax_probabilities(logits)
-    d_logits = losses.backward_logits(probs, labels)
-    d_cos = losses.backward_cosines(d_logits, cosines, labels, config, mask, margins)
-    d_emb, d_weights = losses.backward_parameters(d_cos, emb, class_weights)
-    param_grads = model.backward(cache, d_emb)
+    loss, head = losses.head_forward(emb, class_weights, labels, config)
+    bundle = losses.head_backward(loss, head)
+    param_grads = model.backward(cache, bundle.d_features)
     if corrupt_first_gradient:
         param_grads[0] = param_grads[0].copy()
         param_grads[0].flat[0] += corrupt_first_gradient
 
-    names = []
-    for i in range(model.n_layers):
-        names.extend((f"layer{i}.weight", f"layer{i}.bias"))
-    tensors = list(zip(names, model.params, param_grads))
-    tensors.append(("class_weights", class_weights, d_weights))
+    def loss_now():
+        emb_now, _ = model.forward(inputs)
+        return losses.head_forward(emb_now, class_weights, labels, config,
+                                   head.mask, head.margins)[0]
 
-    worst, worst_name = 0.0, ""
-    for name, array, analytic in tensors:
-        for idx in np.ndindex(array.shape):
-            saved = array[idx]
-            array[idx] = saved + epsilon
-            up = loss_now()
-            array[idx] = saved - epsilon
-            down = loss_now()
-            array[idx] = saved
-            numeric = (up - down) / (2.0 * epsilon)
-            err = abs(analytic[idx] - numeric) / max(abs(analytic[idx]), abs(numeric), 1e-12)
-            if err > worst:
-                worst, worst_name = err, f"{name}[{idx}]"
-    return worst, worst_name
+    names = [f"layer{i}.{kind}" for i in range(model.n_layers) for kind in ("weight", "bias")]
+    tensors = list(zip(names, model.params, param_grads))
+    tensors.append(("class_weights", class_weights, bundle.d_weights))
+    return losses.central_difference(loss_now, tensors, epsilon)

@@ -103,6 +103,23 @@ class TestTrainCommand:
         with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
             assert json.load(fh)["diverged"] is True
 
+    def test_collapsed_embeddings_exit_code_and_partial_artifacts(self, tmp_path, capsys):
+        path = tmp_path / "collapse.cfg"
+        path.write_text(SMALL_CONFIG + "model.init_scale = 1e-9\n", encoding="utf-8")
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", str(path), "--out", out]) == 3
+        assert "collapsed embeddings" in capsys.readouterr().err
+        for name in ("loss.csv", "diagnostics.csv"):
+            assert os.path.exists(os.path.join(out, name))
+        with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+            assert json.load(fh)["diverged"] is True
+
+
+def assert_one_line_config_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+
 
 class TestCompareCommand:
     def test_identical_variants_identical_rows(self, config_path, tmp_path):
@@ -138,6 +155,11 @@ class TestCompareCommand:
     def test_single_variant_rejected(self, config_path, tmp_path):
         assert main(["compare", "--config", config_path,
                      "--out", str(tmp_path / "x"), "--variants", "npcface"]) == 2
+
+    def test_non_numeric_override_rejected(self, config_path, tmp_path, capsys):
+        assert main(["compare", "--config", config_path, "--out", str(tmp_path / "x"),
+                     "--variants", "arcface,npcface:t=abc"]) == 2
+        assert_one_line_config_error(capsys)
 
 
 class TestAnalyzeCommand:
@@ -196,6 +218,14 @@ class TestGradcheckCommand:
     def test_unknown_variant_rejected(self):
         assert main(["gradcheck", "--variant", "sphereface"]) == 2
 
+    def test_non_numeric_override_rejected(self, capsys):
+        assert main(["gradcheck", "--variant", "npcface:t=abc"]) == 2
+        assert_one_line_config_error(capsys)
+
+    def test_non_numeric_shape_rejected(self, capsys):
+        assert main(["gradcheck", "--variant", "npcface", "--shape", "n=x"]) == 2
+        assert_one_line_config_error(capsys)
+
 
 class TestDimstudyCommand:
     def test_blocks_share_bin_edges(self, config_path, tmp_path):
@@ -216,3 +246,8 @@ class TestDimstudyCommand:
     def test_single_dimension_rejected(self, config_path, tmp_path):
         assert main(["dimstudy", "--config", config_path,
                      "--out", str(tmp_path / "x"), "--dims", "8"]) == 2
+
+    def test_non_numeric_dimension_rejected(self, config_path, tmp_path, capsys):
+        assert main(["dimstudy", "--config", config_path,
+                     "--out", str(tmp_path / "x"), "--dims", "4,x"]) == 2
+        assert_one_line_config_error(capsys)

@@ -88,6 +88,12 @@ def test_invalid_loss_values_rejected():
         parse_config_text("loss.s = -1\n")
 
 
+def test_duplicate_far_targets_rejected():
+    with pytest.raises(ConfigParseError) as err:
+        parse_config_text("eval.far_targets = 0.01,1e-2\n")
+    assert "far_targets" in str(err.value)
+
+
 def test_flat_values_roundtrip_through_schema():
     cfg = parse_config_text("seed = 3\nloss.variant = mv_softmax\n")
     flat = cfg.flat_values()

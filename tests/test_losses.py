@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from marginlab.losses import (
     softmax_probabilities,
 )
 from oracles import scalar_loss
-from testlib import conditioned_instances, draw_instance
+from testlib import conditioned_instances, draw_instance, well_conditioned
 
 
 def npc_config(**kw):
@@ -232,6 +233,23 @@ class TestLossOracle:
             assert abs(bundle.loss - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
+    def test_mv_softmax_cos_positive_matches_scalar_composition(self):
+        rng = np.random.default_rng(20)
+        for _ in range(30):
+            n, c, d = int(rng.integers(1, 6)), int(rng.integers(2, 8)), int(rng.integers(3, 7))
+            x = rng.standard_normal((n, d))
+            w = rng.standard_normal((c, d))
+            y = rng.integers(0, c, n)
+            cfg = LossConfig(variant=Variant.MV_SOFTMAX, mv_positive="cos",
+                             s=float(rng.uniform(4, 30)), m=float(rng.uniform(0.0, 0.6)),
+                             t=float(rng.uniform(1.0, 1.3)), m0=float(rng.uniform(0.0, 0.5)))
+            bundle = loss_and_gradients(x, w, y, cfg)
+            expected = scalar_loss(
+                x.tolist(), w.tolist(), y.tolist(), "mv_softmax", cfg.s,
+                m=cfg.m, t=cfg.t, m0=cfg.m0, mv_positive="cos")
+            assert abs(bundle.loss - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
 class TestReductionIdentities:
     def assert_bundles_match(self, a, b, tol=1e-12):
         assert abs(a.loss - b.loss) <= tol * max(1.0, abs(b.loss))
@@ -352,6 +370,17 @@ class TestFiniteDifferenceCheck:
     def test_conditioned_instances_pass(self, variant):
         for x, w, y, cfg in conditioned_instances(variant, 10):
             assert finite_difference_check(x, w, y, cfg, 1e-5) < 1e-6
+
+    def test_mv_softmax_cos_positive_conditioned_instances_pass(self):
+        checked, seed = 0, 0
+        while checked < 10:
+            x, w, y, cfg = draw_instance(Variant.MV_SOFTMAX, seed)
+            cfg = replace(cfg, mv_positive="cos")
+            seed += 1
+            if not well_conditioned(x, w, y, cfg):
+                continue
+            assert finite_difference_check(x, w, y, cfg, 1e-5) < 1e-6
+            checked += 1
 
     def test_epsilon_range_enforced(self):
         x, w, y, cfg = draw_instance(Variant.NORM_SOFTMAX, 0)

@@ -166,6 +166,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.bins < 2:
+        raise ConfigParseError(f"--bins must be >= 2, got {args.bins}")
     experiment, model, class_weights, epochs_trained = reports.load_checkpoint(args.checkpoint)
     if args.config:
         experiment = load_config(args.config)
@@ -215,10 +217,10 @@ def _parse_shape(text):
             key = key.strip()
             if not eq or key not in shape:
                 raise ConfigParseError(f"bad shape item {item!r}; keys: n,c,d,input,hidden")
-            try:
-                shape[key] = int(value)
-            except ValueError:
-                raise ConfigParseError(f"bad shape item {item!r}; values must be integers")
+            value = value.strip()
+            if not value.isdecimal() or int(value) < 1:
+                raise ConfigParseError(f"bad shape item {item!r}; values must be positive integers")
+            shape[key] = int(value)
     return shape
 
 
@@ -231,6 +233,10 @@ def cmd_gradcheck(args) -> int:
         # (loss differences underflow); check at a numerically informative s
         variant = replace(variant, s=args.scale)
     shape = _parse_shape(args.shape)
+    try:
+        losses.check_epsilon(args.epsilon)
+    except ValueError as exc:
+        raise ConfigParseError(f"--epsilon: {exc}")
     spec = ModelSpec(
         layer_widths=(shape["input"], shape["hidden"], shape["d"]),
         activation=args.activation, init_scale=1.0,
@@ -246,9 +252,9 @@ def cmd_gradcheck(args) -> int:
         model, class_weights, inputs, labels, variant, epsilon=args.epsilon,
         corrupt_first_gradient=1e-3 if args.corrupt else 0.0,
     )
-    status = "PASS" if err < args.threshold else "FAIL"
+    status = "PASS" if err < args.threshold else "FAIL"  # a NaN error fails
     print(f"gradcheck {args.variant}: max relative error {err:.3e} at {worst} [{status}]")
-    if err >= args.threshold:
+    if status == "FAIL":
         print(f"worst coordinate: {worst}", file=sys.stderr)
         return EXIT_GRADCHECK
     return EXIT_OK

@@ -80,6 +80,14 @@ def misclassified_rows(mask) -> np.ndarray:
     return np.asarray(mask, dtype=bool).any(axis=1)
 
 
+def _nearest_negative(cosines, labels, rows):
+    """Largest non-label cosine of each selected row; boolean indexing
+    copies the rows, so ``cosines`` itself is never written."""
+    negatives = cosines[rows]
+    negatives[np.arange(negatives.shape[0]), labels[rows]] = -np.inf
+    return negatives.max(axis=1)
+
+
 def hardness_correlation(cosines, labels, mask) -> HardnessReport:
     """Pearson correlation between the two hardness distances.
 
@@ -95,14 +103,8 @@ def hardness_correlation(cosines, labels, mask) -> HardnessReport:
     if n_mis < 2:
         raise InsufficientSamples(f"need >= 2 mis-classified samples, got {n_mis}")
 
-    rows = np.flatnonzero(mis)
-    pos_cos = cosines[rows, labels[rows]]
-    negatives = cosines[rows].copy()
-    negatives[np.arange(rows.size), labels[rows]] = -np.inf
-    nearest_neg = negatives.max(axis=1)
-
-    d_pos = 1.0 - pos_cos
-    d_neg = 1.0 - nearest_neg
+    d_pos = 1.0 - cosines[mis, labels[mis]]
+    d_neg = 1.0 - _nearest_negative(cosines, labels, mis)
     if np.ptp(d_pos) == 0.0 or np.ptp(d_neg) == 0.0:
         raise DegenerateVariance("a distance series is constant")
     r = float(np.clip(np.corrcoef(d_pos, d_neg)[0, 1], -1.0, 1.0))
@@ -153,9 +155,6 @@ def nearest_negative_histogram(cosines, labels, mask, n_bins: int = DEFAULT_BINS
     mis = misclassified_rows(mask)
     if not mis.any():
         raise EmptyPartition("no mis-classified samples in this batch")
-    rows = np.flatnonzero(mis)
-    negatives = cosines[rows].copy()
-    negatives[np.arange(rows.size), labels[rows]] = -np.inf
-    nearest = negatives.max(axis=1)
+    nearest = _nearest_negative(cosines, labels, mis)
     counts, edges = np.histogram(nearest, bins=n_bins, range=(-1.0, 1.0))
     return edges, counts / counts.sum()

@@ -20,6 +20,7 @@ checks and ``loss_and_gradients`` all call them, and ``central_difference``
 checks them with the auxiliaries held fixed.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -31,6 +32,8 @@ from .errors import ConfigMismatch, DimensionMismatch
 from .geometry import cos_shifted, cosine_matrix, normalize_rows
 
 PROB_FLOOR = 1e-300
+# central-difference steps the gradient checks accept, both ends inclusive
+EPSILON_RANGE = (1e-7, 1e-4)
 # below this sin(theta), the arcface-style derivative factor uses its
 # analytic limit cos(margin) instead of sin(theta + m)/sin(theta)
 SIN_LIMIT = 1e-12
@@ -274,9 +277,10 @@ def backward_parameters(d_cosines, raw_features, raw_weights):
     w_norms = np.linalg.norm(w, axis=1)
     cos = x_hat @ w_hat.T  # unclamped: the clamp is a no-op inside (-1, 1)
 
-    row_mix = np.sum(d_cosines * cos, axis=1)
+    weighted = d_cosines * cos
+    row_mix = np.sum(weighted, axis=1)
     d_features = (d_cosines @ w_hat - row_mix[:, None] * x_hat) / x_norms[:, None]
-    col_mix = np.sum(d_cosines * cos, axis=0)
+    col_mix = np.sum(weighted, axis=0)
     d_weights = (d_cosines.T @ x_hat - col_mix[:, None] * w_hat) / w_norms[:, None]
     return d_features, d_weights
 
@@ -348,15 +352,25 @@ def loss_and_gradients(raw_features, raw_weights, labels, config: LossConfig,
     return head_backward(*head_forward(raw_features, raw_weights, labels, config, mask, margins))
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless epsilon lies in ``EPSILON_RANGE``."""
+    low, high = EPSILON_RANGE
+    if not low <= epsilon <= high:
+        raise ValueError(f"epsilon must lie in [{low:g}, {high:g}], got {epsilon}")
+
+
 def central_difference(loss_fn, tensors, epsilon: float):
     """Compare analytic gradients with central differences of ``loss_fn()``.
 
     ``tensors`` lists (name, array, analytic gradient); every coordinate of
     every array is perturbed in place by +-epsilon and restored, so
     ``loss_fn`` must read the arrays themselves. The relative error of a
-    coordinate is |analytic - numeric| / max(|analytic|, |numeric|, 1e-12).
+    coordinate is |analytic - numeric| / max(|analytic|, |numeric|, 1e-12);
+    a NaN error (a non-finite loss) is the worst possible and ends the scan.
     Returns (max_relative_error, "name[index]" of the worst coordinate).
+    Raises ValueError when epsilon lies outside ``EPSILON_RANGE``.
     """
+    check_epsilon(epsilon)
     worst, worst_name = 0.0, ""
     for name, array, analytic in tensors:
         for idx in np.ndindex(array.shape):
@@ -368,6 +382,8 @@ def central_difference(loss_fn, tensors, epsilon: float):
             array[idx] = saved
             numeric = (up - down) / (2.0 * epsilon)
             err = abs(analytic[idx] - numeric) / max(abs(analytic[idx]), abs(numeric), 1e-12)
+            if math.isnan(err):
+                return err, f"{name}[{idx}]"
             if err > worst:
                 worst, worst_name = err, f"{name}[{idx}]"
     return worst, worst_name
@@ -382,8 +398,6 @@ def finite_difference_check(features, weights, labels, config: LossConfig,
     unperturbed inputs and held fixed across every perturbed evaluation,
     matching the frozen-auxiliary backward pass.
     """
-    if not 1e-7 <= epsilon <= 1e-4:
-        raise ValueError(f"epsilon must lie in [1e-7, 1e-4], got {epsilon}")
     features = np.array(features, dtype=np.float64)
     weights = np.array(weights, dtype=np.float64)
     loss, cache = head_forward(features, weights, labels, config)

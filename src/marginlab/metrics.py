@@ -123,18 +123,20 @@ def _validated_scores(scores, flags):
     return scores, flags
 
 
+def _accepted(scores, flags, thresholds):
+    """Exact counts of positive and of negative scores >= each threshold."""
+    return tuple(part.size - np.searchsorted(part, thresholds, side="left")
+                 for part in (np.sort(scores[flags]), np.sort(scores[~flags])))
+
+
 def roc(scores, flags) -> RocCurve:
     """Sweep every distinct score as a threshold (plus an accept-nothing
     sentinel): FAR = accepted negatives / negatives, TAR = accepted
     positives / positives."""
     scores, flags = _validated_scores(scores, flags)
-    pos = np.sort(scores[flags])
-    neg = np.sort(scores[~flags])
     thresholds = np.concatenate([np.unique(scores), [np.inf]])
-    # count of entries >= t via searchsorted on the sorted score arrays
-    tar = (pos.size - np.searchsorted(pos, thresholds, side="left")) / pos.size
-    far = (neg.size - np.searchsorted(neg, thresholds, side="left")) / neg.size
-    return RocCurve(thresholds=thresholds, far=far, tar=tar)
+    accepted_pos, accepted_neg = _accepted(scores, flags, thresholds)
+    return RocCurve(thresholds, far=accepted_neg / np.sum(~flags), tar=accepted_pos / np.sum(flags))
 
 
 def tar_at_far(curve: RocCurve, far_target: float) -> float:
@@ -205,13 +207,12 @@ def _candidate_thresholds(scores):
 
 
 def _best_threshold(scores, flags):
-    """Accuracy-maximizing threshold; ties resolve to the lowest value."""
-    best_t, best_acc = None, -1.0
-    for t in _candidate_thresholds(scores):
-        acc = float(np.mean((scores >= t) == flags))
-        if acc > best_acc:
-            best_t, best_acc = t, acc
-    return best_t
+    """Accuracy-maximizing threshold; ties resolve to the lowest value.
+    Correct pairs are accepted_pos - accepted_neg plus a constant, and
+    argmax keeps the first maximum of these exact integer counts."""
+    candidates = _candidate_thresholds(scores)
+    accepted_pos, accepted_neg = _accepted(scores, flags, candidates)
+    return candidates[np.argmax(accepted_pos - accepted_neg)]
 
 
 def kfold_threshold_accuracy(scores, flags, k: int, seed: int) -> float:

@@ -173,29 +173,37 @@ def load_checkpoint(path):
     """Returns (experiment_config, model, class_weights, epochs_trained).
 
     The config is re-parsed from the embedded echo, so a checkpoint is
-    sufficient to reproduce its run.
+    sufficient to reproduce its run. A file without its ``end`` line, or
+    missing or misshaping a tensor the embedded config implies, raises
+    ConfigParseError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = iter(fh.read().splitlines())
     magic = next(lines, "")
     if not magic.startswith(CHECKPOINT_MAGIC):
         raise ConfigParseError(f"{path} is not a marginlab checkpoint")
-    epochs_trained = int(next(lines).split()[1])
-    config_line = next(lines)
-    raw_text = json.loads(config_line.split(" ", 1)[1])
+    tensors = {}
+    try:
+        epochs_trained = int(next(lines).split()[1])
+        raw_text = json.loads(next(lines).split(" ", 1)[1])
+        for line in lines:
+            if line.startswith("tensor "):
+                name, array = _read_tensor(line, lines)
+                tensors[name] = array
+            elif line == "end":
+                break
+        else:
+            raise ConfigParseError(f"{path} is truncated: no end line")
+    except (StopIteration, IndexError, ValueError) as exc:
+        raise ConfigParseError(f"{path} is truncated or malformed: {exc!r}")
     experiment = parse_config_text(raw_text)
 
-    tensors = {}
-    for line in lines:
-        if line.startswith("tensor "):
-            name, array = _read_tensor(line, lines)
-            tensors[name] = array
-        elif line == "end":
-            break
-
     model = EmbeddingNet(experiment.model)
-    for i in range(model.n_layers):
-        model.weights[i] = tensors[f"layer{i}.weight"]
-        model.biases[i] = tensors[f"layer{i}.bias"]
-    class_weights = tensors["class_weights"]
-    return experiment, model, class_weights, epochs_trained
+    names = [f"layer{i}.{kind}" for i in range(model.n_layers) for kind in ("weight", "bias")]
+    expected = dict(zip(names, (param.shape for param in model.params)))
+    expected["class_weights"] = (experiment.n_classes, model.spec.embedding_dim)
+    for name, shape in expected.items():
+        if name not in tensors or tensors[name].shape != shape:
+            raise ConfigParseError(f"{path}: tensor {name} is missing or not of shape {shape}")
+    model.set_params([tensors[name] for name in names])
+    return experiment, model, tensors["class_weights"], epochs_trained

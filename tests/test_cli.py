@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from marginlab.cli import main
+from marginlab.errors import ConfigParseError
 from marginlab.reports import load_checkpoint
 
 SMALL_CONFIG = """
@@ -196,6 +197,41 @@ class TestAnalyzeCommand:
             # a wider mask margin can only mark more rows as hard
             assert results["0.6"] >= results["0.0"]
 
+    def test_single_bin_rejected(self, tmp_path, capsys):
+        # rejected before the checkpoint is read
+        assert main(["analyze", "--checkpoint", str(tmp_path / "none.txt"),
+                     "--bins", "1"]) == 2
+        assert_one_line_config_error(capsys)
+
+    def test_truncated_checkpoint_rejected(self, config_path, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        main(["train", "--config", config_path, "--out", out])
+        data = read(os.path.join(out, "checkpoint.txt"))
+        cut_path = str(tmp_path / "cut.txt")
+        # inside the header, the config echo, the field lines, a tensor
+        # header, a tensor row, and just before "end"
+        for cut in (30, 60, len(data) // 8, len(data) // 3, len(data) // 2,
+                    len(data) - 40, len(data) - 4):
+            with open(cut_path, "wb") as fh:
+                fh.write(data[:cut])
+            with pytest.raises(ConfigParseError):
+                load_checkpoint(cut_path)
+            capsys.readouterr()
+            assert main(["analyze", "--checkpoint", cut_path,
+                         "--out", str(tmp_path / "an")]) == 2
+            assert_one_line_config_error(capsys)
+
+    def test_misshaped_tensor_rejected(self, config_path, tmp_path):
+        out = str(tmp_path / "run")
+        main(["train", "--config", config_path, "--out", out])
+        text = read(os.path.join(out, "checkpoint.txt")).decode()
+        bad = str(tmp_path / "bad.txt")
+        with open(bad, "w", encoding="utf-8") as fh:
+            # the embedded config now implies 9 classifier rows; the tensor has 8
+            fh.write(text.replace("dataset.n_classes = 8", "dataset.n_classes = 9"))
+        with pytest.raises(ConfigParseError, match="class_weights"):
+            load_checkpoint(bad)
+
 
 class TestGradcheckCommand:
     def test_every_variant_passes(self, capsys):
@@ -225,6 +261,16 @@ class TestGradcheckCommand:
     def test_non_numeric_shape_rejected(self, capsys):
         assert main(["gradcheck", "--variant", "npcface", "--shape", "n=x"]) == 2
         assert_one_line_config_error(capsys)
+
+    def test_empty_shape_rejected(self, capsys):
+        # an empty batch has a NaN loss; it must not pass vacuously
+        assert main(["gradcheck", "--variant", "npcface", "--shape", "n=0"]) == 2
+        assert_one_line_config_error(capsys)
+
+    def test_out_of_range_epsilon_rejected(self, capsys):
+        for epsilon in ("0", "1e-3", "nan"):
+            assert main(["gradcheck", "--variant", "npcface", "--epsilon", epsilon]) == 2
+            assert_one_line_config_error(capsys)
 
 
 class TestDimstudyCommand:

@@ -154,6 +154,15 @@ class TestHardnessCorrelation:
         report = hardness_correlation(cos, labels, mask)
         np.testing.assert_allclose(report.neg_distances, [0.3, 0.5], atol=1e-15)
 
+    def test_inputs_left_unmodified(self):
+        rng = np.random.default_rng(25)
+        cos, labels = self.cosines_with_all_rows_hard(rng, 30, 6)
+        before = cos.copy()
+        mask = compute_mask(cos, labels, 0.0)
+        hardness_correlation(cos, labels, mask)
+        nearest_negative_histogram(cos, labels, mask)
+        np.testing.assert_array_equal(cos, before)
+
 
 class TestSimilarityDistributions:
     def split_cosines(self, mis_values, well_values, c=4):

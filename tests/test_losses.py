@@ -13,6 +13,7 @@ from marginlab.losses import (
     backward_cosines,
     backward_logits,
     backward_parameters,
+    central_difference,
     finite_difference_check,
     forward_logits,
     frozen_auxiliaries,
@@ -386,6 +387,15 @@ class TestFiniteDifferenceCheck:
         x, w, y, cfg = draw_instance(Variant.NORM_SOFTMAX, 0)
         with pytest.raises(ValueError):
             finite_difference_check(x, w, y, cfg, 1e-2)
+
+    def test_nan_error_is_the_worst(self):
+        # a NaN loss makes every coordinate's error NaN; the check must fail
+        array = np.zeros(3)
+        err, worst = central_difference(lambda: float("nan"),
+                                        [("a", array, np.ones(3))], 1e-5)
+        assert math.isnan(err)
+        assert worst == "a[(0,)]"
+        assert not err < 1e-5
 
 
 class TestFrozenAuxiliaries:

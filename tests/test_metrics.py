@@ -9,6 +9,7 @@ from marginlab.errors import (
     MissingMate,
 )
 from marginlab.metrics import (
+    _best_threshold,
     build_pairs,
     kfold_threshold_accuracy,
     pair_scores,
@@ -246,6 +247,18 @@ class TestKfoldAccuracy:
             accs.append(brute_force_threshold_accuracy(
                 scores[folds[held]].tolist(), flags[folds[held]].tolist(), t))
         assert abs(got - np.mean(accs)) < 1e-12
+
+    @pytest.mark.parametrize("values", [
+        np.arange(5) / 4.0,                    # few distinct scores, many ties
+        0.3 + np.arange(8) * np.spacing(0.3),  # adjacent floats: midpoints round onto a score
+    ])
+    def test_best_threshold_matches_brute_force_exactly(self, values):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            scores = rng.choice(values, 40)
+            flags = rng.random(40) < 0.5
+            assert _best_threshold(scores, flags) == brute_force_best_threshold(
+                scores.tolist(), flags.tolist())
 
     def test_insufficient_pairs(self):
         with pytest.raises(InsufficientPairs):

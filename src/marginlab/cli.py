@@ -144,14 +144,19 @@ def cmd_compare(args) -> int:
     tokens = [t.strip() for t in args.variants.split(",") if t.strip()]
     if len(tokens) < 2:
         raise ConfigParseError("compare needs at least two variants")
+    variants = [(token, experiment.with_loss(variant_token_to_loss(token, experiment)))
+                for token in tokens]
     out_dir = _prepare_out_dir(experiment, args.out)
     started = time.monotonic()
 
-    rows = []
-    for token in tokens:
-        loss_config = variant_token_to_loss(token, experiment)
-        variant_experiment = experiment.with_loss(loss_config)
-        result = train(variant_experiment)
+    rows, diverged = [], []
+    for token, variant_experiment in variants:
+        try:
+            result = train(variant_experiment)
+        except DivergedLoss as exc:
+            diverged.append(token)
+            print(f"error: {token}: {exc}", file=sys.stderr)
+            continue
         rows.append((token, final_metrics(result, variant_experiment)))
         print(f"compare: finished {token}")
 
@@ -159,8 +164,11 @@ def cmd_compare(args) -> int:
                               experiment.eval.far_targets, rows)
     payload = reports.summary_payload(experiment, "compare")
     payload["variants"] = {token: m for token, m in rows}
+    payload["diverged"] = diverged
     payload["elapsed_seconds"] = round(time.monotonic() - started, 3)
     reports.write_summary_json(os.path.join(out_dir, "compare_summary.json"), payload)
+    if diverged:
+        return EXIT_DIVERGED
     print(f"compare: table in {out_dir}/comparison.csv")
     return EXIT_OK
 
@@ -181,10 +189,9 @@ def cmd_analyze(args) -> int:
         raise ConfigParseError(
             f"dataset input_dim {experiment.dataset.input_dim} does not fit the "
             f"checkpoint model ({model.spec.input_dim})")
-    cosines = full_set_cosines(model, class_weights, inputs)
-    mask = hardness.compute_mask(cosines, labels, m0)
-    report = hardness.hardness_correlation(cosines, labels, mask)
-    overlap = hardness.similarity_distributions(cosines, labels, mask, n_bins=args.bins)
+    scan = hardness.row_scan(full_set_cosines(model, class_weights, inputs), labels, m0)
+    report = scan.correlation()
+    overlap = scan.overlap(n_bins=args.bins)
 
     reports.write_correlation_csv(
         os.path.join(out_dir, "correlation.csv"),
@@ -287,9 +294,9 @@ def cmd_dimstudy(args) -> int:
             experiment, model=replace(experiment.model, layer_widths=widths))
         result = train(variant_experiment)
         inputs, labels = generate_dataset(variant_experiment.dataset)
-        cosines = full_set_cosines(result.model, result.class_weights, inputs)
-        mask = hardness.compute_mask(cosines, labels, experiment.loss.m0)
-        edges, density = hardness.nearest_negative_histogram(cosines, labels, mask)
+        scan = hardness.row_scan(full_set_cosines(result.model, result.class_weights, inputs),
+                                 labels, experiment.loss.m0)
+        edges, density = scan.nearest_histogram()
         blocks.append((dim, edges, density))
         print(f"dimstudy: finished d={dim}")
 

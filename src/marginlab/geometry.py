@@ -49,7 +49,8 @@ def cosine_matrix(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"features {features.shape} vs weights {weights.shape}"
         )
-    return np.clip(features @ weights.T, -1.0, 1.0)
+    product = features @ weights.T
+    return np.clip(product, -1.0, 1.0, out=product)
 
 
 def cos_shifted(c, m):

@@ -4,6 +4,11 @@ A sample is "hard to class j" when its cosine to w_j exceeds its own
 margined positive cosine; rows with at least one hard entry are the
 mis-classified samples. The collaborative margin grows each such sample's
 positive margin by the mean cosine of its hard negatives.
+
+The full-set diagnostics read a ``RowScan``: one pass over row blocks of
+the N x C cosine matrix that keeps four length-N vectors. The public
+functions that take a whole matrix and its mask reduce the same vectors
+with the same code.
 """
 
 from dataclasses import dataclass
@@ -80,12 +85,103 @@ def misclassified_rows(mask) -> np.ndarray:
     return np.asarray(mask, dtype=bool).any(axis=1)
 
 
-def _nearest_negative(cosines, labels, rows):
-    """Largest non-label cosine of each selected row; boolean indexing
-    copies the rows, so ``cosines`` itself is never written."""
-    negatives = cosines[rows]
-    negatives[np.arange(negatives.shape[0]), labels[rows]] = -np.inf
-    return negatives.max(axis=1)
+@dataclass
+class RowScan:
+    """Per-row summary of an N x C cosine matrix, enough for every full-set
+    diagnostic: each row's label cosine, nearest non-label cosine, argmax
+    class and whether it has a hard entry (is mis-classified)."""
+
+    pos_cos: np.ndarray
+    nearest: np.ndarray
+    pred: np.ndarray
+    mis: np.ndarray
+
+    def accuracy(self, labels) -> float:
+        return float(np.mean(self.pred == labels))
+
+    def correlation(self) -> HardnessReport:
+        """Pearson correlation between the two hardness distances of the
+        mis-classified rows; see ``hardness_correlation``."""
+        n_mis = int(self.mis.sum())
+        if n_mis < 2:
+            raise InsufficientSamples(f"need >= 2 mis-classified samples, got {n_mis}")
+        d_pos = 1.0 - self.pos_cos[self.mis]
+        d_neg = 1.0 - self.nearest[self.mis]
+        if np.ptp(d_pos) == 0.0 or np.ptp(d_neg) == 0.0:
+            raise DegenerateVariance("a distance series is constant")
+        r = float(np.clip(np.corrcoef(d_pos, d_neg)[0, 1], -1.0, 1.0))
+        return HardnessReport(
+            pearson_r=r,
+            n_misclassified=n_mis,
+            mean_pos_distance=float(d_pos.mean()),
+            mean_neg_distance=float(d_neg.mean()),
+            pos_distances=d_pos,
+            neg_distances=d_neg,
+        )
+
+    def overlap(self, n_bins: int = DEFAULT_BINS) -> DistributionOverlap:
+        """Label-cosine histograms of mis- vs well-classified rows; see
+        ``similarity_distributions``."""
+        if n_bins < 2:
+            raise ValueError(f"n_bins must be >= 2, got {n_bins}")
+        mis = self.mis
+        if not mis.any() or mis.all():
+            group = "mis-classified" if not mis.any() else "well-classified"
+            raise EmptyPartition(f"no {group} samples in this batch")
+        h_mis, edges = np.histogram(self.pos_cos[mis], bins=n_bins, range=(-1.0, 1.0))
+        h_well, _ = np.histogram(self.pos_cos[~mis], bins=n_bins, range=(-1.0, 1.0))
+        h_mis = h_mis / h_mis.sum()
+        h_well = h_well / h_well.sum()
+        overlap = float(np.minimum(h_mis, h_well).sum())
+        return DistributionOverlap(h_mis, h_well, overlap, edges)
+
+    def nearest_histogram(self, n_bins: int = DEFAULT_BINS):
+        """(bin_edges, density) of the mis-classified rows' nearest non-label
+        cosine; see ``nearest_negative_histogram``."""
+        if not self.mis.any():
+            raise EmptyPartition("no mis-classified samples in this batch")
+        counts, edges = np.histogram(self.nearest[self.mis], bins=n_bins, range=(-1.0, 1.0))
+        return edges, counts / counts.sum()
+
+
+def _row_vectors(cosines, labels, mask):
+    """The four RowScan vectors of a cosine matrix or row block and its
+    mask. The nearest negative is the row max once the label entry is
+    -inf, so this writes -inf into the label entries of ``cosines``."""
+    rows = np.arange(cosines.shape[0])
+    pos_cos, pred = cosines[rows, labels], cosines.argmax(axis=1)
+    cosines[rows, labels] = -np.inf
+    return pos_cos, cosines.max(axis=1), pred, misclassified_rows(mask)
+
+
+def row_scan(blocks, labels, m0: float) -> RowScan:
+    """One pass over consecutive row blocks of an N x C cosine matrix.
+
+    ``blocks`` yields the matrix's rows top to bottom in (k, C) pieces;
+    ``labels`` covers all N rows. Only the per-row vectors are kept, so the
+    memory held is one block plus O(N), whatever N is. Each block's hard
+    flags come from ``compute_mask``, so they equal the full matrix's. The
+    blocks are consumed: their label entries are overwritten, so pass
+    blocks nothing else reads (``train.full_set_cosines`` makes fresh ones).
+    """
+    labels = np.asarray(labels, dtype=np.intp)
+    parts = []
+    start = 0
+    for block in blocks:
+        block_labels = labels[start:start + block.shape[0]]
+        start += block.shape[0]
+        parts.append(_row_vectors(block, block_labels, compute_mask(block, block_labels, m0)))
+        del block    # let the next block be built without this one alive
+    if start != labels.size:
+        raise ValueError(f"blocks cover {start} rows, labels {labels.size}")
+    return RowScan(*(np.concatenate(column) for column in zip(*parts)))
+
+
+def _matrix_scan(cosines, labels, mask) -> RowScan:
+    """The RowScan of a whole matrix, with its caller's mask."""
+    cosines = np.array(cosines, dtype=np.float64)    # a copy, since _row_vectors writes
+    labels = np.asarray(labels, dtype=np.intp)
+    return RowScan(*_row_vectors(cosines, labels, mask))
 
 
 def hardness_correlation(cosines, labels, mask) -> HardnessReport:
@@ -96,26 +192,7 @@ def hardness_correlation(cosines, labels, mask) -> HardnessReport:
     classes, masked or not). Raises InsufficientSamples below two rows and
     DegenerateVariance when either series is constant.
     """
-    cosines = np.asarray(cosines, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    mis = misclassified_rows(mask)
-    n_mis = int(mis.sum())
-    if n_mis < 2:
-        raise InsufficientSamples(f"need >= 2 mis-classified samples, got {n_mis}")
-
-    d_pos = 1.0 - cosines[mis, labels[mis]]
-    d_neg = 1.0 - _nearest_negative(cosines, labels, mis)
-    if np.ptp(d_pos) == 0.0 or np.ptp(d_neg) == 0.0:
-        raise DegenerateVariance("a distance series is constant")
-    r = float(np.clip(np.corrcoef(d_pos, d_neg)[0, 1], -1.0, 1.0))
-    return HardnessReport(
-        pearson_r=r,
-        n_misclassified=n_mis,
-        mean_pos_distance=float(d_pos.mean()),
-        mean_neg_distance=float(d_neg.mean()),
-        pos_distances=d_pos,
-        neg_distances=d_neg,
-    )
+    return _matrix_scan(cosines, labels, mask).correlation()
 
 
 def similarity_distributions(cosines, labels, mask, n_bins: int = DEFAULT_BINS) -> DistributionOverlap:
@@ -125,22 +202,7 @@ def similarity_distributions(cosines, labels, mask, n_bins: int = DEFAULT_BINS) 
     different dimensionality stay comparable) and are normalized to sum to
     one; the overlap rate is their bin-wise intersection.
     """
-    if n_bins < 2:
-        raise ValueError(f"n_bins must be >= 2, got {n_bins}")
-    cosines = np.asarray(cosines, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    pos_cos = cosines[np.arange(cosines.shape[0]), labels]
-    mis = misclassified_rows(mask)
-    if not mis.any() or mis.all():
-        group = "mis-classified" if not mis.any() else "well-classified"
-        raise EmptyPartition(f"no {group} samples in this batch")
-
-    h_mis, edges = np.histogram(pos_cos[mis], bins=n_bins, range=(-1.0, 1.0))
-    h_well, _ = np.histogram(pos_cos[~mis], bins=n_bins, range=(-1.0, 1.0))
-    h_mis = h_mis / h_mis.sum()
-    h_well = h_well / h_well.sum()
-    overlap = float(np.minimum(h_mis, h_well).sum())
-    return DistributionOverlap(h_mis, h_well, overlap, edges)
+    return _matrix_scan(cosines, labels, mask).overlap(n_bins)
 
 
 def nearest_negative_histogram(cosines, labels, mask, n_bins: int = DEFAULT_BINS):
@@ -150,11 +212,4 @@ def nearest_negative_histogram(cosines, labels, mask, n_bins: int = DEFAULT_BINS
     (bin_edges, density) with density normalized to sum to one; raises
     EmptyPartition when nothing is mis-classified.
     """
-    cosines = np.asarray(cosines, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    mis = misclassified_rows(mask)
-    if not mis.any():
-        raise EmptyPartition("no mis-classified samples in this batch")
-    nearest = _nearest_negative(cosines, labels, mis)
-    counts, edges = np.histogram(nearest, bins=n_bins, range=(-1.0, 1.0))
-    return edges, counts / counts.sum()
+    return _matrix_scan(cosines, labels, mask).nearest_histogram(n_bins)

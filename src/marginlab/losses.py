@@ -103,6 +103,9 @@ class LossConfig:
     mv_positive: str = "arc"
 
     def __post_init__(self):
+        # an int scalar would make the logit and factor tables integer arrays
+        for name in ("s", "m", "t", "alpha", "m0", "m1"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.s <= 0:
             raise ValueError(f"s must be positive, got {self.s}")
         if self.t < 1:

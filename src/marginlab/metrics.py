@@ -65,12 +65,13 @@ def build_pairs(labels, n_positive: int, n_negative: int, seed: int) -> PairSet:
     if n_positive < 1 or n_negative < 1:
         raise InfeasiblePairCount("need at least one positive and one negative pair")
 
-    positives = []
-    for value in np.unique(labels):
-        members = np.flatnonzero(labels == value)
-        for i in range(members.size):
-            for j in range(i + 1, members.size):
-                positives.append((members[i], members[j]))
+    # each class's members in index order, classes in ascending label order
+    order = np.argsort(labels, kind="stable")
+    _, starts, sizes = np.unique(labels[order], return_index=True, return_counts=True)
+    # every (i, j > i) within a class of each size, i-major like a double loop
+    within = {size: np.column_stack(np.triu_indices(size, k=1)) for size in set(sizes.tolist())}
+    positives = np.concatenate([np.empty((0, 2), dtype=np.intp)] + [
+        order[start + within[size]] for start, size in zip(starts.tolist(), sizes.tolist())])
     if len(positives) < n_positive:
         raise InfeasiblePairCount(
             f"requested {n_positive} positive pairs, only {len(positives)} exist"
@@ -83,7 +84,6 @@ def build_pairs(labels, n_positive: int, n_negative: int, seed: int) -> PairSet:
         )
 
     rng = named_rng(seed, "pairs")
-    positives = np.array(positives)
     pos_pick = positives[rng.permutation(len(positives))[:n_positive]]
 
     seen = set()

@@ -20,6 +20,9 @@ from .model import EmbeddingNet, ModelSpec, init_class_weights
 from .optim import OptimizerState, TrainingSchedule, sgd_step
 from .seeds import named_rng
 
+# rows per cosine block of the full-set scan: one block at C = 1000 is 8 MB
+_SCAN_ROWS = 1024
+
 
 @dataclass
 class EpochDiagnostics:
@@ -61,25 +64,29 @@ def _batch_slices(n: int, batch_size: int):
 
 
 def full_set_cosines(model: EmbeddingNet, class_weights, inputs):
+    """Cosines of every input against every class, yielded in blocks of at
+    most ``_SCAN_ROWS`` rows; the forward pass and both normalizations run
+    once, before the first block."""
     emb, _ = model.forward(inputs)
-    return cosine_matrix(normalize_rows(emb), normalize_rows(class_weights))
+    features, weights = normalize_rows(emb), normalize_rows(class_weights)
+    for start in range(0, features.shape[0], _SCAN_ROWS):
+        yield cosine_matrix(features[start:start + _SCAN_ROWS], weights)
 
 
-def epoch_diagnostics(epoch, lr, mean_loss, cosines, labels, m0) -> EpochDiagnostics:
+def epoch_diagnostics(epoch, lr, mean_loss, model, class_weights, inputs, labels,
+                      m0) -> EpochDiagnostics:
     """Hardness and overlap reports on the full training set; degenerate
     stages (nothing mis-classified, constant series) are recorded as notes
     instead of aborting the run."""
-    labels = np.asarray(labels)
-    mask = hardness.compute_mask(cosines, labels, m0)
-    preds = cosines.argmax(axis=1)
-    acc = float(np.mean(preds == labels))
-    diag = EpochDiagnostics(epoch=epoch, lr=lr, mean_loss=mean_loss, train_accuracy=acc)
+    scan = hardness.row_scan(full_set_cosines(model, class_weights, inputs), labels, m0)
+    diag = EpochDiagnostics(epoch=epoch, lr=lr, mean_loss=mean_loss,
+                            train_accuracy=scan.accuracy(labels))
     try:
-        diag.hardness_report = hardness.hardness_correlation(cosines, labels, mask)
+        diag.hardness_report = scan.correlation()
     except (InsufficientSamples, DegenerateVariance) as exc:
         diag.hardness_note = str(exc)
     try:
-        diag.overlap = hardness.similarity_distributions(cosines, labels, mask)
+        diag.overlap = scan.overlap()
     except EmptyPartition as exc:
         diag.overlap_note = str(exc)
     return diag
@@ -135,7 +142,7 @@ def train(experiment) -> TrainResult:
 
             log.epochs.append(epoch_diagnostics(
                 epoch, state.lr, log.epoch_mean_loss(epoch),
-                full_set_cosines(model, class_weights, inputs), labels, config.m0,
+                model, class_weights, inputs, labels, config.m0,
             ))
     except ZeroNorm as exc:
         raise DivergedLoss(

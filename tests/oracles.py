@@ -168,3 +168,33 @@ def brute_force_best_threshold(scores, flags):
         if acc > best_acc:
             best_t, best_acc = t, acc
     return best_t
+
+
+def loop_build_pairs(labels, n_positive, n_negative, rng):
+    """Verification pairs as a per-class double loop enumerates them.
+
+    Positives: every (i, j > i) of each class, classes in ascending label
+    order, ``n_positive`` of them picked by ``rng.permutation``; negatives:
+    rejection-sampled cross-class pairs, each at most once, from the same
+    ``rng``. Returns (index_a, index_b, is_same) as lists.
+    """
+    positives = []
+    for value in sorted(set(labels)):
+        members = [i for i, v in enumerate(labels) if v == value]
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                positives.append((members[i], members[j]))
+    picked = [positives[k] for k in rng.permutation(len(positives))[:n_positive]]
+    n = len(labels)
+    seen, negatives = set(), []
+    while len(negatives) < n_negative:
+        a, b = int(rng.integers(n)), int(rng.integers(n))
+        if a == b or labels[a] == labels[b]:
+            continue
+        key = (min(a, b), max(a, b))
+        if key not in seen:
+            seen.add(key)
+            negatives.append(key)
+    pairs = picked + negatives
+    return ([a for a, _ in pairs], [b for _, b in pairs],
+            [True] * n_positive + [False] * n_negative)

@@ -144,6 +144,21 @@ class TestCompareCommand:
             assert len(cells) == len(lines[0].split(","))
             assert all(cell not in ("", "nan") for cell in cells[:5])
 
+    def test_diverged_variant_keeps_finished_rows(self, config_path, tmp_path, capsys):
+        # a variant token cannot set the learning rate; an absurd scale s
+        # overflows the parameters the same way
+        out = str(tmp_path / "cmp")
+        with np.errstate(all="ignore"):
+            assert main(["compare", "--config", config_path, "--out", out,
+                         "--variants", "cosface,norm_softmax:s=1e300,arcface"]) == 3
+        assert "norm_softmax:s=1e300" in capsys.readouterr().err
+        lines = read(os.path.join(out, "comparison.csv")).decode().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["cosface", "arcface"]
+        with open(os.path.join(out, "compare_summary.json"), encoding="utf-8") as fh:
+            summary = json.load(fh)
+        assert summary["diverged"] == ["norm_softmax:s=1e300"]
+        assert list(summary["variants"]) == ["cosface", "arcface"]
+
     def test_alpha_sweep_rows(self, config_path, tmp_path):
         out = str(tmp_path / "sweep")
         variants = ",".join(f"npcface:alpha={a}" for a in (0.0, 0.1, 0.2))
@@ -161,6 +176,7 @@ class TestCompareCommand:
         assert main(["compare", "--config", config_path, "--out", str(tmp_path / "x"),
                      "--variants", "arcface,npcface:t=abc"]) == 2
         assert_one_line_config_error(capsys)
+        assert not (tmp_path / "x").exists()    # rejected before arcface trains
 
 
 class TestAnalyzeCommand:

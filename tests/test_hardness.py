@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marginlab.errors import DegenerateVariance, EmptyPartition, InsufficientSamples
 from marginlab.geometry import cos_shifted
@@ -10,8 +13,11 @@ from marginlab.hardness import (
     compute_mask,
     hardness_correlation,
     nearest_negative_histogram,
+    row_scan,
     similarity_distributions,
 )
+from marginlab.model import EmbeddingNet, ModelSpec, init_class_weights
+from marginlab.train import _SCAN_ROWS, full_set_cosines
 from oracles import scalar_pearson
 
 
@@ -247,3 +253,80 @@ class TestNearestNegativeHistogram:
         mask = compute_mask(cos, labels, 0.0)
         with pytest.raises(EmptyPartition):
             nearest_negative_histogram(cos, labels, mask)
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, InsufficientSamples, DegenerateVariance, EmptyPartition) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same(got, expected):
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert got == expected
+    elif isinstance(expected, tuple):
+        for a, b in zip(got, expected, strict=True):
+            np.testing.assert_array_equal(a, b)
+    else:
+        for key, value in vars(expected).items():
+            np.testing.assert_array_equal(getattr(got, key), value)
+
+
+# a few repeated values make ties within rows (argmax, nearest negative,
+# the strict mask comparison) and across rows (histograms) common
+TIED = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def scan_cases(draw):
+    n = draw(st.integers(1, 40))
+    c = draw(st.sampled_from([1, 2, 3, 7]))
+    value = st.one_of(TIED, st.floats(-1.0, 1.0))
+    cosines = np.array(draw(st.lists(value, min_size=n * c, max_size=n * c))).reshape(n, c)
+    labels = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+    block = draw(st.integers(1, n + 3))
+    m0 = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+    return cosines, labels, block, m0
+
+
+class TestRowScan:
+    @settings(max_examples=300, deadline=None)
+    @given(scan_cases(), st.integers(2, 12))
+    def test_reports_equal_the_matrix_wrappers(self, case, n_bins):
+        cosines, labels, block, m0 = case
+        blocks = (cosines[i:i + block].copy() for i in range(0, len(labels), block))
+        scan = row_scan(blocks, labels, m0)
+        mask = compute_mask(cosines, labels, m0)
+
+        np.testing.assert_array_equal(scan.mis, mask.any(axis=1))
+        assert scan.accuracy(labels) == float(np.mean(cosines.argmax(axis=1) == labels))
+        assert_same(outcome(scan.correlation), outcome(hardness_correlation, cosines, labels, mask))
+        assert_same(outcome(scan.overlap, n_bins),
+                    outcome(similarity_distributions, cosines, labels, mask, n_bins))
+        assert_same(outcome(scan.nearest_histogram, n_bins),
+                    outcome(nearest_negative_histogram, cosines, labels, mask, n_bins))
+
+    def test_blocks_must_cover_every_label(self):
+        cosines = np.zeros((4, 3))
+        with pytest.raises(ValueError):
+            row_scan([cosines[:3]], np.zeros(4, dtype=int), 0.0)
+
+    def test_peak_memory_is_a_fraction_of_the_matrix(self):
+        n, c, d = 6000, 500, 8
+        rng = np.random.default_rng(28)
+        inputs = rng.standard_normal((n, d))
+        labels = rng.integers(0, c, n)
+        model = EmbeddingNet(ModelSpec(layer_widths=(d, 8, d), seed=1))
+        weights = init_class_weights(c, d, 1.0, 2)
+        tracemalloc.start()
+        try:
+            scan = row_scan(full_set_cosines(model, weights, inputs), labels, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scan.pos_cos.shape == (n,)
+        assert peak < n * c * 8 / 2
+        # one block alive at a time, plus its mask and the length-N vectors
+        assert peak < 2 * _SCAN_ROWS * c * 8

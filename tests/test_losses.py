@@ -383,6 +383,21 @@ class TestFiniteDifferenceCheck:
             assert finite_difference_check(x, w, y, cfg, 1e-5) < 1e-6
             checked += 1
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_integer_scalars_pass(self, variant):
+        # int scalars must not make the logit or factor tables integer arrays
+        cfg = LossConfig(variant=variant, s=6, m=1, t=2, alpha=1, m0=1, m1=1)
+        assert all(type(getattr(cfg, key)) is float
+                   for key in ("s", "m", "t", "alpha", "m0", "m1"))
+        checked, seed = 0, 0
+        while checked < 3:
+            x, w, y, _ = draw_instance(variant, seed)
+            seed += 1
+            if not well_conditioned(x, w, y, cfg):
+                continue
+            assert finite_difference_check(x, w, y, cfg, 1e-5) < 1e-6
+            checked += 1
+
     def test_epsilon_range_enforced(self):
         x, w, y, cfg = draw_instance(Variant.NORM_SOFTMAX, 0)
         with pytest.raises(ValueError):

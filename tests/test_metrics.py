@@ -17,12 +17,14 @@ from marginlab.metrics import (
     roc,
     tar_at_far,
 )
+from marginlab.seeds import named_rng
 from oracles import (
     brute_force_best_threshold,
     brute_force_rank1,
     brute_force_roc,
     brute_force_tar_at_far,
     brute_force_threshold_accuracy,
+    loop_build_pairs,
 )
 
 
@@ -59,6 +61,21 @@ class TestBuildPairs:
             key = (min(a, b), max(a, b))
             assert key not in seen
             seen.add(key)
+
+    @pytest.mark.parametrize("labels, n_positive, n_negative", [
+        ([0] * 5 + [1] * 2 + [2] * 7 + [3] * 3, 34, 40),     # uneven classes, every positive
+        ([0] * 5 + [1] * 2 + [2] * 7 + [3] * 3, 12, 40),
+        ([0, 0, 0, 1, 2, 2, 2, 2], 9, 10),                   # a single-member class
+        ([3, 1, 2, 1, 3, 0, 2, 2, 1, 3, 0, 1], 13, 30),      # unsorted labels
+    ])
+    def test_matches_double_loop_oracle(self, labels, n_positive, n_negative):
+        pairs = build_pairs(np.array(labels), n_positive, n_negative, seed=4)
+        index_a, index_b, is_same = loop_build_pairs(labels, n_positive, n_negative,
+                                                     named_rng(4, "pairs"))
+        assert pairs.index_a.dtype == pairs.index_b.dtype == np.int64
+        assert pairs.index_a.tolist() == index_a
+        assert pairs.index_b.tolist() == index_b
+        assert pairs.is_same.tolist() == is_same
 
     def test_pair_scores_are_cosines(self):
         rng = np.random.default_rng(0)
@@ -236,7 +253,6 @@ class TestKfoldAccuracy:
         k = n
         got = kfold_threshold_accuracy(scores, flags, k, seed=7)
 
-        from marginlab.seeds import named_rng
         order = named_rng(7, "folds").permutation(n)
         folds = np.array_split(order, k)
         accs = []

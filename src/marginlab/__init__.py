@@ -10,12 +10,7 @@ __version__ = "0.1.0"
 
 from .data import SyntheticDatasetSpec, generate_dataset
 from .geometry import cos_shifted, cosine_matrix, normalize, normalize_rows
-from .hardness import (
-    collaborative_margin,
-    compute_mask,
-    hardness_correlation,
-    similarity_distributions,
-)
+from .hardness import RowScan, collaborative_margin, compute_mask, row_scan
 from .losses import (
     GradientBundle,
     LossConfig,
@@ -44,8 +39,7 @@ __all__ = [
     "__version__",
     "SyntheticDatasetSpec", "generate_dataset",
     "cos_shifted", "cosine_matrix", "normalize", "normalize_rows",
-    "compute_mask", "collaborative_margin", "hardness_correlation",
-    "similarity_distributions",
+    "compute_mask", "collaborative_margin", "RowScan", "row_scan",
     "GradientBundle", "LossConfig", "Variant",
     "forward_logits", "softmax_probabilities", "loss_value",
     "backward_logits", "backward_cosines", "backward_parameters",

@@ -10,6 +10,7 @@ collapsed embeddings), 4 insufficient data, 5 gradient check failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -18,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import hardness, losses, metrics, reports
-from .config import ExperimentConfig, load_config, variant_token_to_loss
+from .config import ExperimentConfig, build_config, load_config, variant_token_to_loss
 from .data import evaluation_split
 from .errors import (
     ConfigParseError,
@@ -232,13 +233,12 @@ def _parse_shape(text):
 
 
 def cmd_gradcheck(args) -> int:
-    variant = variant_token_to_loss(args.variant, _default_experiment())
-    overridden = {item.partition("=")[0].strip()
-                  for item in args.variant.partition(":")[2].split(";") if item}
-    if "s" not in overridden:
-        # default re-scaling 64 saturates double-precision finite differences
-        # (loss differences underflow); check at a numerically informative s
-        variant = replace(variant, s=args.scale)
+    if not 0 < args.threshold < math.inf:
+        raise ConfigParseError(f"--threshold must be positive and finite, got {args.threshold}")
+    # default re-scaling 64 saturates double-precision finite differences
+    # (loss differences underflow); check at a numerically informative s
+    # unless the token sets its own
+    variant = variant_token_to_loss(args.variant, build_config({"loss.s": args.scale}))
     shape = _parse_shape(args.shape)
     try:
         losses.check_epsilon(args.epsilon)
@@ -265,12 +265,6 @@ def cmd_gradcheck(args) -> int:
         print(f"worst coordinate: {worst}", file=sys.stderr)
         return EXIT_GRADCHECK
     return EXIT_OK
-
-
-def _default_experiment() -> ExperimentConfig:
-    from .config import build_config
-
-    return build_config({})
 
 
 def cmd_dimstudy(args) -> int:

@@ -6,13 +6,14 @@ text is carried through every report so runs can be reproduced from their
 artifacts alone.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .data import SyntheticDatasetSpec
 from .errors import ConfigParseError
 from .losses import LossConfig, Variant
 from .model import ModelSpec
-from .optim import TrainingSchedule
+from .optim import OptimizerState, TrainingSchedule
 from .seeds import derive_seed
 
 SCHEMA_VERSION = "1"
@@ -48,7 +49,10 @@ def _parse_int(text):
 
 
 def _parse_float(text):
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
 
 
 def _parse_str(text):
@@ -60,7 +64,7 @@ def _parse_int_list(text):
 
 
 def _parse_float_list(text):
-    return tuple(float(v.strip()) for v in text.split(",") if v.strip())
+    return tuple(_parse_float(v) for v in text.split(",") if v.strip())
 
 
 def _parse_variant(text):
@@ -239,6 +243,8 @@ def build_config(values: dict, explicit=frozenset(), raw_text: str = "") -> Expe
         fields[section][name] = value
     try:
         parts = {section: cls(**fields[section]) for section, cls in SECTIONS.items()}
+        OptimizerState(flat["schedule.lr_initial"], flat["optimizer.momentum"],
+                       flat["optimizer.weight_decay"])
     except ValueError as exc:
         raise ConfigParseError(str(exc))
 
@@ -256,7 +262,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config {path}: {exc}")
     return parse_config_text(text)
 
@@ -264,8 +270,9 @@ def load_config(path) -> ExperimentConfig:
 def variant_token_to_loss(token: str, base: ExperimentConfig) -> LossConfig:
     """Build a LossConfig from a compare/sweep token.
 
-    Grammar: ``variant[:key=value[;key=value...]]`` where keys are LossConfig
-    scalar fields, e.g. ``npcface:t=1;alpha=0;m1=0``.
+    Grammar: ``variant[:key=value[;key=value...]]`` where keys are the
+    ``loss.*`` schema keys other than ``variant``, parsed as in a config
+    file, e.g. ``npcface:t=1;alpha=0;m1=0``.
     """
     name, _, override_text = token.partition(":")
     try:
@@ -279,13 +286,14 @@ def variant_token_to_loss(token: str, base: ExperimentConfig) -> LossConfig:
                 continue
             key, eq, value = item.partition("=")
             key = key.strip()
-            if not eq or key not in ("s", "m", "t", "alpha", "m0", "m1", "mv_positive"):
+            if not eq or key == "variant" or f"loss.{key}" not in SCHEMA:
                 raise ConfigParseError(f"bad variant override {item!r} in {token!r}", field=key)
+            parser, _ = SCHEMA[f"loss.{key}"]
             try:
-                overrides[key] = value.strip() if key == "mv_positive" else float(value)
-            except ValueError:
-                raise ConfigParseError(f"bad variant override {item!r} in {token!r}: "
-                                       f"{value.strip()!r} is not a number", field=key)
+                overrides[key] = parser(value.strip())
+            except ValueError as exc:
+                raise ConfigParseError(f"bad variant override {item!r} in {token!r}: {exc}",
+                                       field=key)
 
     margin = overrides.pop("m", None)
     if margin is None:

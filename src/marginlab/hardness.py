@@ -5,10 +5,11 @@ margined positive cosine; rows with at least one hard entry are the
 mis-classified samples. The collaborative margin grows each such sample's
 positive margin by the mean cosine of its hard negatives.
 
-The full-set diagnostics read a ``RowScan``: one pass over row blocks of
-the N x C cosine matrix that keeps four length-N vectors. The public
-functions that take a whole matrix and its mask reduce the same vectors
-with the same code.
+The full-set diagnostics come from ``row_scan``: one pass over row blocks
+of the N x C cosine matrix that keeps four length-N vectors in a
+``RowScan``. Its methods give the hardness correlation, the similarity
+distributions and the nearest-negative histogram; a whole matrix is one
+block.
 """
 
 from dataclasses import dataclass
@@ -80,11 +81,6 @@ def collaborative_margin(cosines, mask, m0: float, m1: float) -> np.ndarray:
     return margins
 
 
-def misclassified_rows(mask) -> np.ndarray:
-    """Boolean selector of rows with at least one hard entry."""
-    return np.asarray(mask, dtype=bool).any(axis=1)
-
-
 @dataclass
 class RowScan:
     """Per-row summary of an N x C cosine matrix, enough for every full-set
@@ -100,8 +96,13 @@ class RowScan:
         return float(np.mean(self.pred == labels))
 
     def correlation(self) -> HardnessReport:
-        """Pearson correlation between the two hardness distances of the
-        mis-classified rows; see ``hardness_correlation``."""
+        """Pearson correlation between the two hardness distances.
+
+        For every mis-classified row: d_pos = 1 - cos(theta_iy) and
+        d_neg = 1 - max over j != y of cos(theta_ij) (nearest of *all* other
+        classes, masked or not). Raises InsufficientSamples below two rows and
+        DegenerateVariance when either series is constant.
+        """
         n_mis = int(self.mis.sum())
         if n_mis < 2:
             raise InsufficientSamples(f"need >= 2 mis-classified samples, got {n_mis}")
@@ -120,8 +121,14 @@ class RowScan:
         )
 
     def overlap(self, n_bins: int = DEFAULT_BINS) -> DistributionOverlap:
-        """Label-cosine histograms of mis- vs well-classified rows; see
-        ``similarity_distributions``."""
+        """Cosine-to-ground-truth histograms of mis- vs well-classified rows.
+
+        Both histograms use the same n_bins equal-width bins over [-1, 1] (so
+        runs of different dimensionality stay comparable) and are normalized
+        to sum to one; the overlap rate is their bin-wise intersection.
+        Raises ValueError below two bins and EmptyPartition when either group
+        is empty.
+        """
         if n_bins < 2:
             raise ValueError(f"n_bins must be >= 2, got {n_bins}")
         mis = self.mis
@@ -136,22 +143,17 @@ class RowScan:
         return DistributionOverlap(h_mis, h_well, overlap, edges)
 
     def nearest_histogram(self, n_bins: int = DEFAULT_BINS):
-        """(bin_edges, density) of the mis-classified rows' nearest non-label
-        cosine; see ``nearest_negative_histogram``."""
+        """Histogram of the mis-classified rows' nearest non-label cosine.
+
+        The input to the embedding-dimension robustness study. Returns
+        (bin_edges, density) over n_bins equal-width bins on [-1, 1], with
+        density normalized to sum to one; raises EmptyPartition when nothing
+        is mis-classified.
+        """
         if not self.mis.any():
             raise EmptyPartition("no mis-classified samples in this batch")
         counts, edges = np.histogram(self.nearest[self.mis], bins=n_bins, range=(-1.0, 1.0))
         return edges, counts / counts.sum()
-
-
-def _row_vectors(cosines, labels, mask):
-    """The four RowScan vectors of a cosine matrix or row block and its
-    mask. The nearest negative is the row max once the label entry is
-    -inf, so this writes -inf into the label entries of ``cosines``."""
-    rows = np.arange(cosines.shape[0])
-    pos_cos, pred = cosines[rows, labels], cosines.argmax(axis=1)
-    cosines[rows, labels] = -np.inf
-    return pos_cos, cosines.max(axis=1), pred, misclassified_rows(mask)
 
 
 def row_scan(blocks, labels, m0: float) -> RowScan:
@@ -161,55 +163,23 @@ def row_scan(blocks, labels, m0: float) -> RowScan:
     ``labels`` covers all N rows. Only the per-row vectors are kept, so the
     memory held is one block plus O(N), whatever N is. Each block's hard
     flags come from ``compute_mask``, so they equal the full matrix's. The
-    blocks are consumed: their label entries are overwritten, so pass
-    blocks nothing else reads (``train.full_set_cosines`` makes fresh ones).
+    nearest negative is the row max once the label entry is -inf, so the
+    blocks are consumed: their label entries are overwritten. Pass blocks
+    nothing else reads (``train.full_set_cosines`` makes fresh ones).
     """
     labels = np.asarray(labels, dtype=np.intp)
     parts = []
     start = 0
     for block in blocks:
+        rows = np.arange(block.shape[0])
         block_labels = labels[start:start + block.shape[0]]
         start += block.shape[0]
-        parts.append(_row_vectors(block, block_labels, compute_mask(block, block_labels, m0)))
+        mis = compute_mask(block, block_labels, m0).any(axis=1)
+        pos_cos, pred = block[rows, block_labels], block.argmax(axis=1)
+        block[rows, block_labels] = -np.inf
+        parts.append((pos_cos, block.max(axis=1), pred, mis))
         del block    # let the next block be built without this one alive
     if start != labels.size:
         raise ValueError(f"blocks cover {start} rows, labels {labels.size}")
     return RowScan(*(np.concatenate(column) for column in zip(*parts)))
 
-
-def _matrix_scan(cosines, labels, mask) -> RowScan:
-    """The RowScan of a whole matrix, with its caller's mask."""
-    cosines = np.array(cosines, dtype=np.float64)    # a copy, since _row_vectors writes
-    labels = np.asarray(labels, dtype=np.intp)
-    return RowScan(*_row_vectors(cosines, labels, mask))
-
-
-def hardness_correlation(cosines, labels, mask) -> HardnessReport:
-    """Pearson correlation between the two hardness distances.
-
-    For every mis-classified sample: d_pos = 1 - cos(theta_iy) and
-    d_neg = 1 - max over j != y of cos(theta_ij) (nearest of *all* other
-    classes, masked or not). Raises InsufficientSamples below two rows and
-    DegenerateVariance when either series is constant.
-    """
-    return _matrix_scan(cosines, labels, mask).correlation()
-
-
-def similarity_distributions(cosines, labels, mask, n_bins: int = DEFAULT_BINS) -> DistributionOverlap:
-    """Cosine-to-ground-truth histograms of mis- vs well-classified samples.
-
-    Both histograms use the same equal-width bins over [-1, 1] (so runs of
-    different dimensionality stay comparable) and are normalized to sum to
-    one; the overlap rate is their bin-wise intersection.
-    """
-    return _matrix_scan(cosines, labels, mask).overlap(n_bins)
-
-
-def nearest_negative_histogram(cosines, labels, mask, n_bins: int = DEFAULT_BINS):
-    """Histogram of mis-classified samples' nearest non-label cosine.
-
-    The input to the embedding-dimension robustness study. Returns
-    (bin_edges, density) with density normalized to sum to one; raises
-    EmptyPartition when nothing is mis-classified.
-    """
-    return _matrix_scan(cosines, labels, mask).nearest_histogram(n_bins)

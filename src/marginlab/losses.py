@@ -106,8 +106,8 @@ class LossConfig:
         # an int scalar would make the logit and factor tables integer arrays
         for name in ("s", "m", "t", "alpha", "m0", "m1"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.s <= 0:
-            raise ValueError(f"s must be positive, got {self.s}")
+        if not 0 < self.s < np.inf:
+            raise ValueError(f"s must be positive and finite, got {self.s}")
         if self.t < 1:
             raise ValueError(f"t must be >= 1, got {self.t}")
         if not 0 <= self.m < np.pi:

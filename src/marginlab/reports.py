@@ -173,12 +173,15 @@ def load_checkpoint(path):
     """Returns (experiment_config, model, class_weights, epochs_trained).
 
     The config is re-parsed from the embedded echo, so a checkpoint is
-    sufficient to reproduce its run. A file without its ``end`` line, or
-    missing or misshaping a tensor the embedded config implies, raises
-    ConfigParseError.
+    sufficient to reproduce its run. An unreadable or non-UTF-8 file, a file
+    without its ``end`` line, or one missing or misshaping a tensor the
+    embedded config implies, raises ConfigParseError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = iter(fh.read().splitlines())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = iter(fh.read().splitlines())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigParseError(f"cannot read checkpoint {path}: {exc}")
     magic = next(lines, "")
     if not magic.startswith(CHECKPOINT_MAGIC):
         raise ConfigParseError(f"{path} is not a marginlab checkpoint")

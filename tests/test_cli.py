@@ -94,6 +94,26 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path)]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "loss.s = nan", "dataset.concentration = nan", "schedule.lr_initial = nan",
+        "optimizer.momentum = 1.5", "optimizer.momentum = nan", "optimizer.weight_decay = -1",
+    ])
+    def test_bad_number_exits_before_training(self, tmp_path, capsys, line):
+        key = line.split(" ")[0]
+        kept = [row for row in SMALL_CONFIG.splitlines() if not row.startswith(key + " ")]
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+        assert_one_line_config_error(capsys)
+        assert not out.exists()
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(SMALL_CONFIG.encode() + b"# caf\xe9\n")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert_one_line_config_error(capsys)
+
     def test_diverged_run_exit_code_and_partial_artifacts(self, tmp_path):
         path = tmp_path / "diverge.cfg"
         path.write_text(SMALL_CONFIG + "schedule.lr_initial = 1e154\n", encoding="utf-8")
@@ -237,6 +257,18 @@ class TestAnalyzeCommand:
                          "--out", str(tmp_path / "an")]) == 2
             assert_one_line_config_error(capsys)
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+    def test_unreadable_checkpoint_rejected(self, tmp_path, capsys, kind):
+        path = tmp_path / "checkpoint.txt"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "non-utf8":
+            path.write_bytes(b"marginlab-checkpoint \xff\n")
+        with pytest.raises(ConfigParseError, match="cannot read checkpoint"):
+            load_checkpoint(str(path))
+        assert main(["analyze", "--checkpoint", str(path), "--out", str(tmp_path / "an")]) == 2
+        assert_one_line_config_error(capsys)
+
     def test_misshaped_tensor_rejected(self, config_path, tmp_path):
         out = str(tmp_path / "run")
         main(["train", "--config", config_path, "--out", out])
@@ -282,6 +314,20 @@ class TestGradcheckCommand:
         # an empty batch has a NaN loss; it must not pass vacuously
         assert main(["gradcheck", "--variant", "npcface", "--shape", "n=0"]) == 2
         assert_one_line_config_error(capsys)
+
+    @pytest.mark.parametrize("flag", ["--scale", "--threshold"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_not_positive_and_finite_rejected(self, capsys, flag, value):
+        assert main(["gradcheck", "--variant", "npcface", flag, value]) == 2
+        assert_one_line_config_error(capsys)
+
+    def test_token_scale_wins_over_the_flag(self, capsys):
+        main(["gradcheck", "--variant", "arcface:s=9", "--seed", "2"])
+        first = capsys.readouterr().out
+        main(["gradcheck", "--variant", "arcface:s=9", "--seed", "2", "--scale", "30"])
+        assert capsys.readouterr().out == first
+        main(["gradcheck", "--variant", "arcface", "--seed", "2", "--scale", "9"])
+        assert capsys.readouterr().out == first.replace("arcface:s=9", "arcface")
 
     def test_out_of_range_epsilon_rejected(self, capsys):
         for epsilon in ("0", "1e-3", "nan"):

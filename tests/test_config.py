@@ -1,6 +1,11 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marginlab.config import (
+    SCHEMA,
     build_config,
     parse_config_text,
     variant_token_to_loss,
@@ -130,3 +135,86 @@ class TestVariantTokens:
             variant_token_to_loss("npcface:bogus=1", base)
         with pytest.raises(ConfigParseError):
             variant_token_to_loss("sphereface", base)
+        with pytest.raises(ConfigParseError):
+            variant_token_to_loss("npcface:variant=arcface", base)
+
+    def test_overrides_use_the_schema_parsers(self):
+        base = parse_config_text("")
+        loss = variant_token_to_loss("mv_softmax:mv_positive= cos ;s= 30", base)
+        assert loss.mv_positive == "cos" and loss.s == 30.0
+        for token in ("npcface:s=nan", "arcface:m=inf", "npcface:alpha=-inf"):
+            with pytest.raises(ConfigParseError, match="not a finite number"):
+                variant_token_to_loss(token, base)
+
+
+@pytest.mark.parametrize("key", ["loss.s", "dataset.concentration", "schedule.lr_initial",
+                                 "optimizer.momentum", "eval.far_targets"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_numbers_rejected_with_line(key, value):
+    with pytest.raises(ConfigParseError) as err:
+        parse_config_text(f"seed = 1\n{key} = {value}\n")
+    assert err.value.line == 2
+    assert "not a finite number" in str(err.value)
+
+
+# text a config line can hold: no comment mark, no line break, nothing the
+# parser strips from either end
+LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="#")).filter(
+    lambda text: text == text.strip() and len(text.splitlines()) <= 1)
+FLOAT_KEYS = {
+    "dataset.concentration": (1e-3, 1e3), "dataset.crowding": (0.0, 1.0),
+    "dataset.min_center_cosine": (-1.0, 1.0), "model.init_scale": (1e-3, 10.0),
+    "loss.s": (1e-3, 1e3), "loss.m": (0.0, 3.0), "loss.t": (1.0, 3.0),
+    "loss.alpha": (0.0, 2.0), "loss.m0": (0.0, 1.5), "loss.m1": (0.0, 1.5),
+    "schedule.lr_initial": (1e-6, 10.0), "schedule.decay_factor": (1e-3, 1e3),
+    "optimizer.momentum": (0.0, 0.999), "optimizer.weight_decay": (0.0, 1.0),
+}
+INT_KEYS = {
+    "seed": (0, 2**40), "dataset.seed": (0, 2**32), "model.seed": (0, 2**32),
+    "dataset.n_classes": (2, 5000), "dataset.samples_per_class": (1, 100),
+    "schedule.batch_size": (1, 1024), "eval.samples_per_class": (2, 20),
+    "eval.n_positive_pairs": (0, 5000), "eval.n_negative_pairs": (0, 5000),
+    "eval.n_distractors": (0, 500), "eval.kfold": (2, 20),
+}
+
+
+@st.composite
+def config_texts(draw):
+    """Config text that sets a random subset of the schema keys to valid values."""
+    values = {key: repr(draw(st.floats(low, high))) for key, (low, high) in FLOAT_KEYS.items()}
+    values.update({key: str(draw(st.integers(low, high)))
+                   for key, (low, high) in INT_KEYS.items()})
+    input_dim = draw(st.integers(1, 64))
+    values["dataset.input_dim"] = str(input_dim)
+    widths = draw(st.lists(st.integers(1, 64), min_size=1, max_size=3))
+    values["model.layer_widths"] = ",".join(map(str, [input_dim, *widths]))
+    epochs = draw(st.integers(0, 40))
+    values["schedule.total_epochs"] = str(epochs)
+    milestones = draw(st.sets(st.integers(1, epochs - 1), max_size=4)) if epochs > 1 else ()
+    values["schedule.milestones"] = ",".join(map(str, sorted(milestones)))
+    targets = draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4,
+                            unique_by=lambda far: f"{far:g}"))
+    values["eval.far_targets"] = ",".join(map(repr, targets))
+    values["output_dir"] = draw(LINE_TEXT)
+    values["model.activation"] = draw(st.sampled_from(["relu", "tanh"]))
+    values["loss.variant"] = draw(st.sampled_from([v.value for v in Variant]))
+    values["loss.mv_positive"] = draw(st.sampled_from(["arc", "cos"]))
+    keys = draw(st.sets(st.sampled_from(sorted(values))))
+    # explicit widths and milestones are valid only next to what they were drawn for
+    for key, needs in (("model.layer_widths", "dataset.input_dim"),
+                       ("schedule.milestones", "schedule.total_epochs")):
+        if key in keys:
+            keys.add(needs)
+    return "".join(f"{key} = {values[key]}\n" for key in sorted(keys))
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_texts())
+def test_flat_values_written_back_parse_to_the_same_config(text):
+    config = parse_config_text(text)
+    flat = config.flat_values()
+    assert list(flat) == list(SCHEMA)
+    written = "".join(f"{key} = {value}\n" for key, value in flat.items())
+    again = parse_config_text(written)
+    assert again.flat_values() == flat
+    assert replace(again, raw_text=text, explicit_keys=config.explicit_keys) == config

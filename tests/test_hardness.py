@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -8,14 +7,7 @@ from hypothesis import strategies as st
 
 from marginlab.errors import DegenerateVariance, EmptyPartition, InsufficientSamples
 from marginlab.geometry import cos_shifted
-from marginlab.hardness import (
-    collaborative_margin,
-    compute_mask,
-    hardness_correlation,
-    nearest_negative_histogram,
-    row_scan,
-    similarity_distributions,
-)
+from marginlab.hardness import collaborative_margin, compute_mask, row_scan
 from marginlab.model import EmbeddingNet, ModelSpec, init_class_weights
 from marginlab.train import _SCAN_ROWS, full_set_cosines
 from oracles import scalar_pearson
@@ -118,30 +110,27 @@ class TestHardnessCorrelation:
         # marks both rows as hard
         cos = np.array([[0.9, 0.1, -0.5], [0.1, 0.9, -0.5]])
         labels = np.array([0, 0])
-        mask = compute_mask(cos, labels, 1.5)
-        report = hardness_correlation(cos, labels, mask)
+        report = row_scan([cos.copy()], labels, 1.5).correlation()
         assert report.n_misclassified == 2
         assert abs(report.pearson_r + 1.0) < 1e-12
 
     def test_constant_series_raises(self):
         cos = np.array([[0.5, 0.7, 0.0], [0.5, 0.7, -0.2]])
         labels = np.array([0, 0])
-        mask = compute_mask(cos, labels, 0.0)
         with pytest.raises(DegenerateVariance):
-            hardness_correlation(cos, labels, mask)
+            row_scan([cos.copy()], labels, 0.0).correlation()
 
     def test_insufficient_samples(self):
         cos = np.array([[0.9, 0.1], [0.8, 0.2]])
         labels = np.array([0, 0])
-        mask = compute_mask(cos, labels, 0.0)  # nothing mis-classified
+        scan = row_scan([cos.copy()], labels, 0.0)  # nothing mis-classified
         with pytest.raises(InsufficientSamples):
-            hardness_correlation(cos, labels, mask)
+            scan.correlation()
 
     def test_matches_two_pass_pearson(self):
         rng = np.random.default_rng(24)
         cos, labels = self.cosines_with_all_rows_hard(rng, 50, 8)
-        mask = compute_mask(cos, labels, 0.0)
-        report = hardness_correlation(cos, labels, mask)
+        report = row_scan([cos.copy()], labels, 0.0).correlation()
         assert report.n_misclassified == 50
 
         d_pos = [1.0 - cos[i, labels[i]] for i in range(50)]
@@ -156,18 +145,8 @@ class TestHardnessCorrelation:
         # the nearest negative may be an unmasked class
         cos = np.array([[0.6, 0.7, 0.5], [0.2, 0.5, 0.4]])
         labels = np.array([0, 0])
-        mask = compute_mask(cos, labels, 0.0)
-        report = hardness_correlation(cos, labels, mask)
+        report = row_scan([cos.copy()], labels, 0.0).correlation()
         np.testing.assert_allclose(report.neg_distances, [0.3, 0.5], atol=1e-15)
-
-    def test_inputs_left_unmodified(self):
-        rng = np.random.default_rng(25)
-        cos, labels = self.cosines_with_all_rows_hard(rng, 30, 6)
-        before = cos.copy()
-        mask = compute_mask(cos, labels, 0.0)
-        hardness_correlation(cos, labels, mask)
-        nearest_negative_histogram(cos, labels, mask)
-        np.testing.assert_array_equal(cos, before)
 
 
 class TestSimilarityDistributions:
@@ -185,15 +164,13 @@ class TestSimilarityDistributions:
     def test_identical_populations_overlap_one(self):
         values = np.linspace(-0.5, 0.5, 200)
         cos, labels = self.split_cosines(values, values)
-        mask = compute_mask(cos, labels, 0.0)
-        overlap = similarity_distributions(cos, labels, mask, n_bins=20)
+        overlap = row_scan([cos.copy()], labels, 0.0).overlap(n_bins=20)
         assert abs(overlap.overlap_rate - 1.0) < 1e-12
 
     def test_disjoint_supports_overlap_zero(self):
         cos, labels = self.split_cosines(np.linspace(-0.8, -0.5, 50),
                                          np.linspace(0.5, 0.8, 50))
-        mask = compute_mask(cos, labels, 0.0)
-        overlap = similarity_distributions(cos, labels, mask)
+        overlap = row_scan([cos.copy()], labels, 0.0).overlap()
         assert overlap.overlap_rate == 0.0
 
     def test_half_overlapping_uniform_populations(self):
@@ -203,15 +180,13 @@ class TestSimilarityDistributions:
         mis = np.linspace(-0.5, 0.5, 4001)
         well = np.linspace(0.0, 1.0, 4001)
         cos, labels = self.split_cosines(mis, well)
-        mask = compute_mask(cos, labels, 0.0)
-        overlap = similarity_distributions(cos, labels, mask, n_bins=40)
+        overlap = row_scan([cos.copy()], labels, 0.0).overlap(n_bins=40)
         assert abs(overlap.overlap_rate - 0.5) < 2e-3
 
     def test_histograms_normalized(self):
         rng = np.random.default_rng(25)
         cos, labels = self.split_cosines(rng.uniform(-1, 0, 100), rng.uniform(0, 1, 300))
-        mask = compute_mask(cos, labels, 0.0)
-        overlap = similarity_distributions(cos, labels, mask)
+        overlap = row_scan([cos.copy()], labels, 0.0).overlap()
         assert abs(overlap.histogram_mis.sum() - 1.0) < 1e-9
         assert abs(overlap.histogram_well.sum() - 1.0) < 1e-9
         assert len(overlap.bin_edges) == len(overlap.histogram_mis) + 1
@@ -219,9 +194,9 @@ class TestSimilarityDistributions:
     def test_empty_partition_raises(self):
         cos = np.array([[0.9, 0.1], [0.8, 0.0]])
         labels = np.array([0, 0])
-        mask = compute_mask(cos, labels, 0.0)
+        scan = row_scan([cos.copy()], labels, 0.0)
         with pytest.raises(EmptyPartition):
-            similarity_distributions(cos, labels, mask)
+            scan.overlap()
 
     def test_overlap_symmetric_in_groups(self):
         rng = np.random.default_rng(26)
@@ -229,10 +204,8 @@ class TestSimilarityDistributions:
         b = rng.uniform(-0.2, 0.6, 150)
         cos1, labels1 = self.split_cosines(a, b)
         cos2, labels2 = self.split_cosines(b, a)
-        m1 = compute_mask(cos1, labels1, 0.0)
-        m2 = compute_mask(cos2, labels2, 0.0)
-        o1 = similarity_distributions(cos1, labels1, m1)
-        o2 = similarity_distributions(cos2, labels2, m2)
+        o1 = row_scan([cos1.copy()], labels1, 0.0).overlap()
+        o2 = row_scan([cos2.copy()], labels2, 0.0).overlap()
         assert abs(o1.overlap_rate - o2.overlap_rate) < 1e-12
 
 
@@ -241,18 +214,18 @@ class TestNearestNegativeHistogram:
         rng = np.random.default_rng(27)
         cos = rng.uniform(-1, 1, (200, 6))
         labels = rng.integers(0, 6, 200)
-        mask = compute_mask(cos, labels, 0.3)
-        if mask.any():
-            edges, density = nearest_negative_histogram(cos, labels, mask)
+        scan = row_scan([cos.copy()], labels, 0.3)
+        if scan.mis.any():
+            edges, density = scan.nearest_histogram()
             assert abs(density.sum() - 1.0) < 1e-9
             assert len(edges) == len(density) + 1
 
     def test_empty_mask_raises(self):
         cos = np.array([[0.99, -0.9], [0.95, -0.8]])
         labels = np.array([0, 0])
-        mask = compute_mask(cos, labels, 0.0)
+        scan = row_scan([cos.copy()], labels, 0.0)
         with pytest.raises(EmptyPartition):
-            nearest_negative_histogram(cos, labels, mask)
+            scan.nearest_histogram()
 
 
 def outcome(fn, *args, **kwargs):
@@ -294,19 +267,25 @@ def scan_cases(draw):
 class TestRowScan:
     @settings(max_examples=300, deadline=None)
     @given(scan_cases(), st.integers(2, 12))
-    def test_reports_equal_the_matrix_wrappers(self, case, n_bins):
+    def test_blocked_scan_matches_numpy_and_one_block(self, case, n_bins):
         cosines, labels, block, m0 = case
         blocks = (cosines[i:i + block].copy() for i in range(0, len(labels), block))
         scan = row_scan(blocks, labels, m0)
-        mask = compute_mask(cosines, labels, m0)
 
-        np.testing.assert_array_equal(scan.mis, mask.any(axis=1))
+        rows = np.arange(len(labels))
+        negatives = cosines.copy()
+        negatives[rows, labels] = -np.inf
+        np.testing.assert_array_equal(scan.mis, compute_mask(cosines, labels, m0).any(axis=1))
+        np.testing.assert_array_equal(scan.pos_cos, cosines[rows, labels])
+        np.testing.assert_array_equal(scan.nearest, negatives.max(axis=1))
+        np.testing.assert_array_equal(scan.pred, cosines.argmax(axis=1))
         assert scan.accuracy(labels) == float(np.mean(cosines.argmax(axis=1) == labels))
-        assert_same(outcome(scan.correlation), outcome(hardness_correlation, cosines, labels, mask))
-        assert_same(outcome(scan.overlap, n_bins),
-                    outcome(similarity_distributions, cosines, labels, mask, n_bins))
+
+        whole = row_scan([cosines.copy()], labels, m0)
+        assert_same(outcome(scan.correlation), outcome(whole.correlation))
+        assert_same(outcome(scan.overlap, n_bins), outcome(whole.overlap, n_bins))
         assert_same(outcome(scan.nearest_histogram, n_bins),
-                    outcome(nearest_negative_histogram, cosines, labels, mask, n_bins))
+                    outcome(whole.nearest_histogram, n_bins))
 
     def test_blocks_must_cover_every_label(self):
         cosines = np.zeros((4, 3))

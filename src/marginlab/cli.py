@@ -9,7 +9,6 @@ collapsed embeddings), 4 insufficient data, 5 gradient check failure.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import hardness, losses, metrics, reports
 from .config import ExperimentConfig, build_config, load_config, variant_token_to_loss
-from .data import evaluation_split
+from .data import evaluation_split, generate_dataset
 from .errors import (
     ConfigParseError,
     DivergedLoss,
@@ -182,9 +181,6 @@ def cmd_analyze(args) -> int:
         experiment = load_config(args.config)
     out_dir = _prepare_out_dir(experiment, args.out)
     m0 = experiment.loss.m0 if args.m0 is None else args.m0
-
-    from .data import generate_dataset
-
     inputs, labels = generate_dataset(experiment.dataset)
     if experiment.dataset.input_dim != model.spec.input_dim:
         raise ConfigParseError(
@@ -278,8 +274,6 @@ def cmd_dimstudy(args) -> int:
         raise ConfigParseError("dimstudy needs at least two embedding dimensions")
     out_dir = _prepare_out_dir(experiment, args.out)
     started = time.monotonic()
-
-    from .data import generate_dataset
 
     blocks = []
     for dim in dims:

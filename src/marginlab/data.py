@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleCrowding
+from .geometry import normalize, normalize_rows
 from .seeds import named_rng
 
 CROWDING_ATTEMPTS = 1000
@@ -34,7 +35,7 @@ class SyntheticDatasetSpec:
             raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.concentration <= 0:
+        if not self.concentration > 0:
             raise ValueError(f"concentration must be positive, got {self.concentration}")
         if not 0.0 <= self.crowding <= 1.0:
             raise ValueError(f"crowding must lie in [0, 1], got {self.crowding}")
@@ -44,12 +45,8 @@ class SyntheticDatasetSpec:
         return self.n_classes * self.samples_per_class
 
 
-def _unit_rows(m: np.ndarray) -> np.ndarray:
-    return m / np.linalg.norm(m, axis=1, keepdims=True)
-
-
 def _uniform_sphere(rng, n, d):
-    return _unit_rows(rng.standard_normal((n, d)))
+    return normalize_rows(rng.standard_normal((n, d)))
 
 
 def _crowded_draw(rng, anchor, min_cosine):
@@ -60,7 +57,7 @@ def _crowded_draw(rng, anchor, min_cosine):
     sigma = np.sqrt(max(1.0 / target**2 - 1.0, 0.0) / d) if target > 0 else 1.0
     for _ in range(CROWDING_ATTEMPTS):
         cand = anchor + sigma * rng.standard_normal(d)
-        cand = cand / np.linalg.norm(cand)
+        cand = normalize(cand)
         if float(cand @ anchor) >= min_cosine:
             return cand
     raise InfeasibleCrowding(
@@ -95,7 +92,7 @@ def sample_around_centers(centers, samples_per_class, concentration, rng):
     n_classes, d = centers.shape
     scale = 1.0 / np.sqrt(concentration)
     reps = np.repeat(centers, samples_per_class, axis=0)
-    samples = _unit_rows(reps + scale * rng.standard_normal(reps.shape))
+    samples = normalize_rows(reps + scale * rng.standard_normal(reps.shape))
     labels = np.repeat(np.arange(n_classes), samples_per_class)
     return samples, labels
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import ConfigMismatch, DimensionMismatch
 from .geometry import cos_shifted, cosine_matrix, normalize_rows
+from .hardness import collaborative_margin, compute_mask
 
 PROB_FLOOR = 1e-300
 # central-difference steps the gradient checks accept, both ends inclusive
@@ -108,15 +109,15 @@ class LossConfig:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not 0 < self.s < np.inf:
             raise ValueError(f"s must be positive and finite, got {self.s}")
-        if self.t < 1:
+        if not self.t >= 1:
             raise ValueError(f"t must be >= 1, got {self.t}")
         if not 0 <= self.m < np.pi:
             raise ValueError(f"m must lie in [0, pi), got {self.m}")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if not 0 <= self.m0 < np.pi:
             raise ValueError(f"m0 must lie in [0, pi), got {self.m0}")
-        if self.m1 < 0 or self.m0 + self.m1 >= np.pi:
+        if not (self.m1 >= 0 and self.m0 + self.m1 < np.pi):
             raise ValueError(f"need 0 <= m1 and m0 + m1 < pi, got m1={self.m1}")
         if self.mv_positive not in ("arc", "cos"):
             raise ValueError(f"mv_positive must be 'arc' or 'cos', got {self.mv_positive!r}")
@@ -264,21 +265,18 @@ def backward_cosines(d_logits, cosines, labels, config: LossConfig, mask=None, m
     return d_logits * factors
 
 
-def backward_parameters(d_cosines, raw_features, raw_weights):
+def backward_parameters(d_cosines, cache: "HeadCache"):
     """Pull dL/dcos back through normalization onto the raw arrays.
 
     cos_ij = <x_i/|x_i|, w_j/|w_j|>, so
         dcos/dx_i = (w_hat_j - cos_ij * x_hat_i) / |x_i|
-    and symmetrically for w_j. Returns (d_features, d_weights).
+    and symmetrically for w_j. The unit rows and cosines are the ones
+    ``head_forward`` cached. Returns (d_features, d_weights).
     """
     d_cosines = np.asarray(d_cosines, dtype=np.float64)
-    x = np.asarray(raw_features, dtype=np.float64)
-    w = np.asarray(raw_weights, dtype=np.float64)
-    x_hat = normalize_rows(x)
-    w_hat = normalize_rows(w)
-    x_norms = np.linalg.norm(x, axis=1)
-    w_norms = np.linalg.norm(w, axis=1)
-    cos = x_hat @ w_hat.T  # unclamped: the clamp is a no-op inside (-1, 1)
+    x_hat, w_hat, cos = cache.features, cache.weights, cache.cosines
+    x_norms = np.linalg.norm(cache.raw_features, axis=1)
+    w_norms = np.linalg.norm(cache.raw_weights, axis=1)
 
     weighted = d_cosines * cos
     row_mix = np.sum(weighted, axis=1)
@@ -294,8 +292,6 @@ def frozen_auxiliaries(cosines, labels, config: LossConfig):
     Returns (None, None) for the plain variants, so the result can be fed
     straight into the forward/backward calls.
     """
-    from .hardness import collaborative_margin, compute_mask
-
     rule = config._rule
     if not rule.mines:
         return None, None
@@ -309,11 +305,13 @@ def frozen_auxiliaries(cosines, labels, config: LossConfig):
 
 @dataclass
 class HeadCache:
-    """What ``head_backward`` reads from the forward pass: the raw inputs,
-    the cosines, the frozen auxiliaries and the softmax probabilities."""
+    """What ``head_backward`` reads from the forward pass: the raw inputs and
+    their unit rows, the cosines, the frozen auxiliaries and the softmax probabilities."""
 
     raw_features: np.ndarray
     raw_weights: np.ndarray
+    features: np.ndarray
+    weights: np.ndarray
     labels: np.ndarray
     config: LossConfig
     cosines: np.ndarray
@@ -330,12 +328,14 @@ def head_forward(raw_features, raw_weights, labels, config: LossConfig,
     cosines (the per-iteration semantics); pass the cached arrays to keep
     them frozen across evaluations, e.g. for finite differences.
     """
-    cosines = cosine_matrix(normalize_rows(raw_features), normalize_rows(raw_weights))
+    features, weights = normalize_rows(raw_features), normalize_rows(raw_weights)
+    cosines = cosine_matrix(features, weights)
     if mask is None and config._rule.mines:
         mask, margins = frozen_auxiliaries(cosines, labels, config)
     probs = softmax_probabilities(forward_logits(cosines, labels, config, mask, margins))
     loss = loss_value(probs, labels)
-    cache = HeadCache(raw_features, raw_weights, labels, config, cosines, mask, margins, probs)
+    cache = HeadCache(raw_features, raw_weights, features, weights, labels, config,
+                      cosines, mask, margins, probs)
     return loss, cache
 
 
@@ -344,7 +344,7 @@ def head_backward(loss: float, cache: HeadCache) -> GradientBundle:
     d_logits = backward_logits(cache.probs, cache.labels)
     d_cosines = backward_cosines(d_logits, cache.cosines, cache.labels, cache.config,
                                  cache.mask, cache.margins)
-    d_features, d_weights = backward_parameters(d_cosines, cache.raw_features, cache.raw_weights)
+    d_features, d_weights = backward_parameters(d_cosines, cache)
     return GradientBundle(loss, d_logits, d_cosines, d_features, d_weights)
 
 

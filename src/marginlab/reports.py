@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .config import SCHEMA_VERSION, ExperimentConfig, parse_config_text
 from .errors import ConfigParseError
-from .model import EmbeddingNet, ModelSpec
+from .model import EmbeddingNet
 
 CHECKPOINT_MAGIC = "marginlab-checkpoint"
 

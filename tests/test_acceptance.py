@@ -6,10 +6,8 @@ seeds are fixed so every run reproduces the same numbers.
 """
 
 import math
-import os
 
 import numpy as np
-import pytest
 
 from marginlab import losses as L
 from marginlab.cli import main as cli_main

@@ -10,8 +10,11 @@ from marginlab.config import (
     parse_config_text,
     variant_token_to_loss,
 )
+from marginlab.data import SyntheticDatasetSpec
 from marginlab.errors import ConfigParseError
-from marginlab.losses import Variant
+from marginlab.losses import LossConfig, Variant
+from marginlab.model import ModelSpec
+from marginlab.optim import OptimizerState, TrainingSchedule
 
 
 def test_defaults_from_empty_text():
@@ -155,6 +158,25 @@ def test_non_finite_numbers_rejected_with_line(key, value):
         parse_config_text(f"seed = 1\n{key} = {value}\n")
     assert err.value.line == 2
     assert "not a finite number" in str(err.value)
+
+
+# (spec, the arguments it requires, the float field set to NaN)
+NAN_FIELDS = [
+    (LossConfig, {}, "t"), (LossConfig, {}, "alpha"), (LossConfig, {}, "m1"),
+    (TrainingSchedule, {"total_epochs": 30}, "lr_initial"),
+    (TrainingSchedule, {"total_epochs": 30}, "decay_factor"),
+    (SyntheticDatasetSpec, {"n_classes": 4, "samples_per_class": 2, "input_dim": 3},
+     "concentration"),
+    (ModelSpec, {"layer_widths": (3, 2)}, "init_scale"),
+    (OptimizerState, {"lr": 0.1}, "lr"), (OptimizerState, {"lr": 0.1}, "weight_decay"),
+]
+
+
+@pytest.mark.parametrize("spec, required, name", NAN_FIELDS,
+                         ids=[f"{spec.__name__}.{name}" for spec, _, name in NAN_FIELDS])
+def test_spec_built_from_python_rejects_nan(spec, required, name):
+    with pytest.raises(ValueError, match=name):
+        spec(**{**required, name: float("nan")})
 
 
 # text a config line can hold: no comment mark, no line break, nothing the

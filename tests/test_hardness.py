@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marginlab.errors import DegenerateVariance, EmptyPartition, InsufficientSamples
-from marginlab.geometry import cos_shifted
 from marginlab.hardness import collaborative_margin, compute_mask, row_scan
 from marginlab.model import EmbeddingNet, ModelSpec, init_class_weights
 from marginlab.train import _SCAN_ROWS, full_set_cosines

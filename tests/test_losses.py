@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from marginlab.errors import ConfigMismatch
-from marginlab.geometry import cos_shifted, cosine_matrix, normalize_rows
+from marginlab.geometry import cos_shifted, normalize_rows
 from marginlab.hardness import collaborative_margin, compute_mask
 from marginlab.losses import (
     LossConfig,
@@ -17,6 +17,7 @@ from marginlab.losses import (
     finite_difference_check,
     forward_logits,
     frozen_auxiliaries,
+    head_forward,
     loss_and_gradients,
     loss_value,
     softmax_probabilities,
@@ -172,17 +173,23 @@ class TestBackwardCosines:
             assert abs(d[0, 0] - expected) < 1e-9 * abs(expected)
 
 
+def head_cache(x, w):
+    """The forward-pass cache ``backward_parameters`` reads, for any labels."""
+    labels = np.zeros(x.shape[0], dtype=int)
+    return head_forward(x, w, labels, LossConfig(variant=Variant.NORM_SOFTMAX))[1]
+
+
 class TestBackwardParameters:
     def test_zero_upstream_gives_zero(self):
         rng = np.random.default_rng(13)
         x, w = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
-        dx, dw = backward_parameters(np.zeros((3, 5)), x, w)
+        dx, dw = backward_parameters(np.zeros((3, 5)), head_cache(x, w))
         assert not dx.any() and not dw.any()
 
     def test_parallel_pair_is_stationary(self):
         x = np.array([[2.0, 0.0, 0.0]])
         w = np.array([[0.5, 0.0, 0.0]])
-        dx, dw = backward_parameters(np.ones((1, 1)), x, w)
+        dx, dw = backward_parameters(np.ones((1, 1)), head_cache(x, w))
         np.testing.assert_allclose(dx, 0.0, atol=1e-15)
         np.testing.assert_allclose(dw, 0.0, atol=1e-15)
 
@@ -194,7 +201,7 @@ class TestBackwardParameters:
             x = rng.standard_normal((3, 4))
             w = rng.standard_normal((5, 4))
             d_cos = rng.standard_normal((3, 5))
-            dx, dw = backward_parameters(d_cos, x, w)
+            dx, dw = backward_parameters(d_cos, head_cache(x, w))
             if min(np.abs(dx).min(), np.abs(dw).min()) >= 1e-2:
                 break
 

@@ -35,7 +35,7 @@ class SyntheticDatasetSpec:
             raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
-        if not self.concentration > 0:
+        if not 0 < self.concentration < np.inf:
             raise ValueError(f"concentration must be positive, got {self.concentration}")
         if not 0.0 <= self.crowding <= 1.0:
             raise ValueError(f"crowding must lie in [0, 1], got {self.crowding}")

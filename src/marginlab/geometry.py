@@ -36,12 +36,12 @@ def normalize_rows(m, eps: float = DEFAULT_EPS) -> np.ndarray:
     return m / norms[:, None]
 
 
-def cosine_matrix(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def cosine_matrix(features: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
     """Cosine similarities between unit feature rows and unit weight rows.
 
     Returns an (N, C) matrix with entry (i, j) = <x_i, w_j>, clamped into
     [-1, 1] so accumulated rounding can never push a value outside the
-    arccos domain.
+    arccos domain. Written into ``out`` when given, else a fresh array.
     """
     features = np.asarray(features, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -49,7 +49,7 @@ def cosine_matrix(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"features {features.shape} vs weights {weights.shape}"
         )
-    product = features @ weights.T
+    product = np.matmul(features, weights.T, out=out)
     return np.clip(product, -1.0, 1.0, out=product)
 
 

@@ -49,32 +49,34 @@ class DistributionOverlap:
     bin_edges: np.ndarray
 
 
-def compute_mask(cosines, labels, m0: float) -> np.ndarray:
+def compute_mask(cosines, labels, m0: float, out=None) -> np.ndarray:
     """Binary N x C mask: entry (i, j) marks sample i as hard to class j.
 
     M_ij = 1 iff j != y_i and cos(theta_ij) > cos(theta_iy + m0). The label
     column is always zero. m0 = 0 reduces to plain mis-classification.
+    Written into the bool array ``out`` when given, else a fresh array.
     """
     cosines = np.asarray(cosines, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
     n = cosines.shape[0]
     rows = np.arange(n)
     threshold = cos_shifted(cosines[rows, labels], m0)
-    mask = cosines > np.asarray(threshold).reshape(n, 1)
+    mask = np.greater(cosines, np.asarray(threshold).reshape(n, 1), out=out)
     mask[rows, labels] = False
     return mask
 
 
-def collaborative_margin(cosines, mask, m0: float, m1: float) -> np.ndarray:
+def collaborative_margin(cosines, mask, m0: float, m1: float, scratch=None) -> np.ndarray:
     """Per-sample positive margin m0 + m1 * mean(hard-negative cosines).
 
     Rows without hard negatives fall back to exactly m0. Values stay inside
-    [m0 - m1, m0 + m1] because cosines are bounded by 1 in magnitude.
+    [m0 - m1, m0 + m1] because cosines are bounded by 1 in magnitude. The
+    N x C product of the sums goes into ``scratch`` when given.
     """
     cosines = np.asarray(cosines, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
-    counts = mask.sum(axis=1)
-    sums = np.where(mask, cosines, 0.0).sum(axis=1)
+    counts = np.count_nonzero(mask, axis=1)
+    sums = np.multiply(cosines, mask, out=scratch).sum(axis=1)
     margins = np.full(cosines.shape[0], float(m0))
     has_hard = counts > 0
     margins[has_hard] = m0 + (sums[has_hard] / counts[has_hard]) * m1
@@ -161,11 +163,14 @@ def row_scan(blocks, labels, m0: float) -> RowScan:
 
     ``blocks`` yields the matrix's rows top to bottom in (k, C) pieces;
     ``labels`` covers all N rows. Only the per-row vectors are kept, so the
-    memory held is one block plus O(N), whatever N is. Each block's hard
-    flags come from ``compute_mask``, so they equal the full matrix's. The
-    nearest negative is the row max once the label entry is -inf, so the
-    blocks are consumed: their label entries are overwritten. Pass blocks
-    nothing else reads (``train.full_set_cosines`` makes fresh ones).
+    memory held is one block plus O(N), whatever N is, and a block may reuse
+    the previous block's memory. With the label entry set to -inf, one
+    argmax per row finds the nearest negative; the row's argmax class is the
+    label where the label cosine beats it or ties from a lower index (the
+    first-maximum rule of ``argmax``), and the row has a hard entry (as in
+    ``compute_mask``) iff the nearest negative exceeds the margined label
+    cosine. Both hold for finite cosines. The blocks are consumed: their
+    label entries are overwritten.
     """
     labels = np.asarray(labels, dtype=np.intp)
     parts = []
@@ -174,12 +179,13 @@ def row_scan(blocks, labels, m0: float) -> RowScan:
         rows = np.arange(block.shape[0])
         block_labels = labels[start:start + block.shape[0]]
         start += block.shape[0]
-        mis = compute_mask(block, block_labels, m0).any(axis=1)
-        pos_cos, pred = block[rows, block_labels], block.argmax(axis=1)
+        pos_cos = block[rows, block_labels]
         block[rows, block_labels] = -np.inf
-        parts.append((pos_cos, block.max(axis=1), pred, mis))
-        del block    # let the next block be built without this one alive
+        negative = block.argmax(axis=1)
+        nearest = block[rows, negative]
+        label_wins = (pos_cos > nearest) | ((pos_cos == nearest) & (block_labels < negative))
+        pred = np.where(label_wins, block_labels, negative)
+        parts.append((pos_cos, nearest, pred, nearest > cos_shifted(pos_cos, m0)))
     if start != labels.size:
         raise ValueError(f"blocks cover {start} rows, labels {labels.size}")
     return RowScan(*(np.concatenate(column) for column in zip(*parts)))
-

@@ -32,7 +32,7 @@ class ModelSpec:
             raise ValueError(f"widths must be positive, got {self.layer_widths}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        if not self.init_scale > 0:
+        if not 0 < self.init_scale < np.inf:
             raise ValueError("init_scale must be positive")
 
     @property

@@ -18,11 +18,11 @@ class OptimizerState:
     buffers: list = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.lr > 0:
+        if not 0 < self.lr < np.inf:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not self.weight_decay >= 0:
+        if not 0 <= self.weight_decay < np.inf:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
     @classmethod
@@ -67,9 +67,9 @@ class TrainingSchedule:
         object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
         if self.total_epochs < 0:
             raise ValueError("total_epochs must be >= 0")
-        if not self.lr_initial > 0:
+        if not 0 < self.lr_initial < np.inf:
             raise ValueError("lr_initial must be positive")
-        if not self.decay_factor > 0:
+        if not 0 < self.decay_factor < np.inf:
             raise ValueError("decay_factor must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")

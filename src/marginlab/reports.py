@@ -166,6 +166,8 @@ def _read_tensor(header, lines):
     for _ in range(n_rows):
         values.append([float(v) for v in next(lines).split()])
     array = np.array(values, dtype=np.float64).reshape(shape)
+    if not np.isfinite(array).all():
+        raise ConfigParseError(f"tensor {name} holds a non-finite entry")
     return name, array
 
 
@@ -174,8 +176,8 @@ def load_checkpoint(path):
 
     The config is re-parsed from the embedded echo, so a checkpoint is
     sufficient to reproduce its run. An unreadable or non-UTF-8 file, a file
-    without its ``end`` line, or one missing or misshaping a tensor the
-    embedded config implies, raises ConfigParseError.
+    without its ``end`` line, a non-finite tensor entry, or one missing or
+    misshaping a tensor the embedded config implies, raises ConfigParseError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

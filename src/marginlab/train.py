@@ -5,6 +5,8 @@ including the classifier rows.
 Each iteration re-mines the hard mask and the collaborative margins from the
 current cosines, then treats them as constants for the backward pass. Class
 weights are stored raw and normalized only inside the cosine computation.
+The loss head's N x C arrays live in one ``losses.HeadWorkspace`` for the
+whole run.
 """
 
 import math
@@ -66,11 +68,14 @@ def _batch_slices(n: int, batch_size: int):
 def full_set_cosines(model: EmbeddingNet, class_weights, inputs):
     """Cosines of every input against every class, yielded in blocks of at
     most ``_SCAN_ROWS`` rows; the forward pass and both normalizations run
-    once, before the first block."""
+    once, before the first block. Every block is written into the same
+    array, so a consumer must be done with one block before the next."""
     emb, _ = model.forward(inputs)
     features, weights = normalize_rows(emb), normalize_rows(class_weights)
+    block = np.empty((min(_SCAN_ROWS, features.shape[0]), weights.shape[0]))
     for start in range(0, features.shape[0], _SCAN_ROWS):
-        yield cosine_matrix(features[start:start + _SCAN_ROWS], weights)
+        rows = features[start:start + _SCAN_ROWS]
+        yield cosine_matrix(rows, weights, out=block[:rows.shape[0]])
 
 
 def epoch_diagnostics(epoch, lr, mean_loss, model, class_weights, inputs, labels,
@@ -116,6 +121,8 @@ def train(experiment) -> TrainResult:
         momentum=experiment.momentum, weight_decay=experiment.weight_decay,
     )
 
+    workspace = losses.HeadWorkspace.allocate(min(schedule.batch_size, len(labels)),
+                                              experiment.n_classes)
     log = TrainingLog()
     iteration = 0
     try:
@@ -127,7 +134,8 @@ def train(experiment) -> TrainResult:
                 batch, batch_labels = inputs[idx], labels[idx]
 
                 emb, cache = model.forward(batch)
-                loss, head = losses.head_forward(emb, class_weights, batch_labels, config)
+                loss, head = losses.head_forward(emb, class_weights, batch_labels, config,
+                                                 workspace=workspace)
 
                 iteration += 1
                 log.iterations.append((iteration, epoch, loss))

@@ -160,7 +160,7 @@ def test_non_finite_numbers_rejected_with_line(key, value):
     assert "not a finite number" in str(err.value)
 
 
-# (spec, the arguments it requires, the float field set to NaN)
+# (spec, the arguments it requires, the float field set to NaN or +inf)
 NAN_FIELDS = [
     (LossConfig, {}, "t"), (LossConfig, {}, "alpha"), (LossConfig, {}, "m1"),
     (TrainingSchedule, {"total_epochs": 30}, "lr_initial"),
@@ -172,11 +172,15 @@ NAN_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("spec, required, name", NAN_FIELDS,
-                         ids=[f"{spec.__name__}.{name}" for spec, _, name in NAN_FIELDS])
-def test_spec_built_from_python_rejects_nan(spec, required, name):
+NON_FINITE_CASES = [pytest.param(spec, required, name, value, id=f"{spec.__name__}.{name}{suffix}")
+                    for value, suffix in ((float("nan"), ""), (float("inf"), "-inf"))
+                    for spec, required, name in NAN_FIELDS]
+
+
+@pytest.mark.parametrize("spec, required, name, value", NON_FINITE_CASES)
+def test_spec_built_from_python_rejects_nan(spec, required, name, value):
     with pytest.raises(ValueError, match=name):
-        spec(**{**required, name: float("nan")})
+        spec(**{**required, name: value})
 
 
 # text a config line can hold: no comment mark, no line break, nothing the

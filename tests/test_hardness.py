@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marginlab.errors import DegenerateVariance, EmptyPartition, InsufficientSamples
+from marginlab.geometry import cos_shifted
 from marginlab.hardness import collaborative_margin, compute_mask, row_scan
 from marginlab.model import EmbeddingNet, ModelSpec, init_class_weights
 from marginlab.train import _SCAN_ROWS, full_set_cosines
@@ -286,6 +287,22 @@ class TestRowScan:
         assert_same(outcome(scan.nearest_histogram, n_bins),
                     outcome(whole.nearest_histogram, n_bins))
 
+    # the label cosine ties the nearest negative: argmax keeps the first
+    # maximum, so the label wins only from the lower index
+    @pytest.mark.parametrize("labels", [[0], [2]], ids=["label_left", "label_right"])
+    def test_tie_with_nearest_negative_follows_argmax(self, labels):
+        cosines = np.array([[0.7, 0.2, 0.7]])
+        scan = row_scan([cosines.copy()], np.array(labels), 0.1)
+        np.testing.assert_array_equal(scan.pred, cosines.argmax(axis=1))
+
+    def test_nearest_negative_at_the_threshold_is_not_hard(self):
+        threshold = cos_shifted(0.8, 0.3)
+        cosines = np.array([[0.8, threshold, -0.5], [0.8, np.nextafter(threshold, 1.0), -0.5]])
+        labels = np.array([0, 0])
+        scan = row_scan([cosines.copy()], labels, 0.3)
+        np.testing.assert_array_equal(scan.mis, [False, True])
+        np.testing.assert_array_equal(scan.mis, compute_mask(cosines, labels, 0.3).any(axis=1))
+
     def test_blocks_must_cover_every_label(self):
         cosines = np.zeros((4, 3))
         with pytest.raises(ValueError):
@@ -306,5 +323,5 @@ class TestRowScan:
             tracemalloc.stop()
         assert scan.pos_cos.shape == (n,)
         assert peak < n * c * 8 / 2
-        # one block alive at a time, plus its mask and the length-N vectors
+        # one block buffer, plus the length-N vectors
         assert peak < 2 * _SCAN_ROWS * c * 8

@@ -8,6 +8,7 @@ from marginlab.errors import ConfigMismatch
 from marginlab.geometry import cos_shifted, normalize_rows
 from marginlab.hardness import collaborative_margin, compute_mask
 from marginlab.losses import (
+    HeadWorkspace,
     LossConfig,
     Variant,
     backward_cosines,
@@ -17,6 +18,7 @@ from marginlab.losses import (
     finite_difference_check,
     forward_logits,
     frozen_auxiliaries,
+    head_backward,
     head_forward,
     loss_and_gradients,
     loss_value,
@@ -171,6 +173,31 @@ class TestBackwardCosines:
                                  np.array([0]), cfg)
             expected = 10.0 * math.sin(theta + 0.3) / math.sin(theta)
             assert abs(d[0, 0] - expected) < 1e-9 * abs(expected)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("variant", [Variant.MV_SOFTMAX, Variant.NPCFACE])
+def test_hard_entries_match_the_plain_blend_at_any_density(variant, density):
+    # the hard entries take a sparse or a dense route depending on their
+    # share; either must give the elementwise blend bit for bit
+    rng = np.random.default_rng(33)
+    n, c = 6, 50
+    cos, d_logits = rng.uniform(-1, 1, (n, c)), rng.standard_normal((n, c))
+    labels = rng.integers(0, c, n)
+    mask = rng.random((n, c)) < density
+    mask[np.arange(n), labels] = False
+    cfg = npc_config(variant=variant)
+    offset = cfg.alpha if variant is Variant.NPCFACE else cfg.t - 1.0
+    margins = collaborative_margin(cos, mask, cfg.m0, cfg.m1)
+    negatives = np.ones((n, c), dtype=bool)
+    negatives[np.arange(n), labels] = False
+
+    logits = forward_logits(cos, labels, cfg, mask, margins)
+    blend = np.where(mask, cfg.s * (cfg.t * cos + offset), cfg.s * cos)
+    assert logits[negatives].tobytes() == blend[negatives].tobytes()
+    d_cos = backward_cosines(d_logits, cos, labels, cfg, mask, margins)
+    blend = d_logits * np.where(mask, cfg.s * cfg.t, cfg.s)
+    assert d_cos[negatives].tobytes() == blend[negatives].tobytes()
 
 
 def head_cache(x, w):
@@ -436,3 +463,45 @@ class TestFrozenAuxiliaries:
         np.testing.assert_array_equal(mask, compute_mask(cos, y, cfg.m0))
         np.testing.assert_array_equal(
             margins, collaborative_margin(cos, mask, cfg.m0, cfg.m1))
+
+
+BUNDLE_ARRAYS = ("d_logits", "d_cosines", "d_features", "d_weights")
+
+
+class TestHeadWorkspace:
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_reused_rows_match_fresh_arrays(self, variant):
+        # a short training run: the weights move between iterations and the
+        # last batch is short. Every fresh bundle is kept until the end, so a
+        # fresh path that shared memory across calls fails here too.
+        rng = np.random.default_rng(31)
+        c, d = 40, 6
+        config = LossConfig(variant=variant, s=16.0, m=0.3, t=1.2, alpha=0.2, m0=0.2, m1=0.2)
+        weights = rng.standard_normal((c, d))
+        steps = []
+        for n in (16, 16, 16, 7):
+            labels = rng.integers(0, c, n)
+            features = 2.0 * normalize_rows(weights)[labels] + rng.standard_normal((n, d))
+            steps.append((features, weights.copy(), labels))
+            weights += 0.1 * rng.standard_normal((c, d))
+        fresh = [loss_and_gradients(x, w, labels, config) for x, w, labels in steps]
+        hard_rows = head_forward(*steps[0], npc_config(m0=0.2))[1].mask.any(axis=1)
+        assert hard_rows.any() and not hard_rows.all()
+
+        workspace = HeadWorkspace.allocate(16, c)
+        for (x, w, labels), want in zip(steps, fresh):
+            got = head_backward(*head_forward(x, w, labels, config, workspace=workspace))
+            assert got.loss == want.loss
+            for name in BUNDLE_ARRAYS:
+                assert getattr(got, name).shape == getattr(want, name).shape
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_fresh_calls_share_no_memory(self):
+        rng = np.random.default_rng(32)
+        x, w = rng.standard_normal((8, 5)), rng.standard_normal((12, 5))
+        labels = rng.integers(0, 12, 8)
+        first = loss_and_gradients(x, w, labels, npc_config())
+        second = loss_and_gradients(x, w, labels, npc_config())
+        for a in BUNDLE_ARRAYS:
+            for b in BUNDLE_ARRAYS:
+                assert not np.shares_memory(getattr(first, a), getattr(second, b)), (a, b)

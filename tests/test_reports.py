@@ -1,5 +1,5 @@
 """Checkpoint properties: an exact round trip, and clean rejection of files
-that were cut short or hold a non-numeric tensor entry."""
+that were cut short or hold a non-numeric or non-finite tensor entry."""
 
 import numpy as np
 import pytest
@@ -81,9 +81,11 @@ def _not_a_float(token):
     return False
 
 
-# one whitespace-free token that float() rejects
-NON_NUMERIC = st.text(st.characters(blacklist_categories=("C", "Z")), min_size=1).filter(
-    _not_a_float)
+# one whitespace-free token that float() rejects, or one it reads as a
+# non-finite value
+NON_NUMERIC = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf"]),
+    st.text(st.characters(blacklist_categories=("C", "Z")), min_size=1).filter(_not_a_float))
 
 
 @settings(max_examples=150, deadline=None)

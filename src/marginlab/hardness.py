@@ -66,17 +66,16 @@ def compute_mask(cosines, labels, m0: float, out=None) -> np.ndarray:
     return mask
 
 
-def collaborative_margin(cosines, mask, m0: float, m1: float, scratch=None) -> np.ndarray:
+def collaborative_margin(cosines, mask, m0: float, m1: float) -> np.ndarray:
     """Per-sample positive margin m0 + m1 * mean(hard-negative cosines).
 
     Rows without hard negatives fall back to exactly m0. Values stay inside
-    [m0 - m1, m0 + m1] because cosines are bounded by 1 in magnitude. The
-    N x C product of the sums goes into ``scratch`` when given.
+    [m0 - m1, m0 + m1] because cosines are bounded by 1 in magnitude.
     """
     cosines = np.asarray(cosines, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     counts = np.count_nonzero(mask, axis=1)
-    sums = np.multiply(cosines, mask, out=scratch).sum(axis=1)
+    sums = np.multiply(cosines, mask).sum(axis=1)
     margins = np.full(cosines.shape[0], float(m0))
     has_hard = counts > 0
     margins[has_hard] = m0 + (sums[has_hard] / counts[has_hard]) * m1

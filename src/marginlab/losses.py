@@ -165,31 +165,32 @@ def _check_labels(labels, n_rows, n_cols):
 
 # Below this share of hard entries the hard values are formed at their flat
 # indices only; above it, forming them for the whole matrix and copying them
-# in under the mask is faster (measured on training masks at 0.0002-0.96).
+# in under the mask is faster (measured on training masks at 0.0002-0.96;
+# BENCH_9.json has this switch against one ``where=`` blend end to end).
 _SPARSE_HARD = 0.5
 
 
-def _put_hard(target, mask, source, hard_map, scratch):
+def _put_hard(target, mask, source, hard_map):
     """Overwrite the masked entries of ``target`` with ``hard_map`` of the
-    same entries of ``source``. ``hard_map(values, out=None)`` is elementwise,
-    so every entry gets the same float operations on either route; the dense
-    route maps all of ``source`` into ``scratch``."""
+    same entries of ``source``. ``hard_map`` is elementwise, so every entry
+    gets the same float operations on either route."""
     mask = np.asarray(mask, dtype=bool)
+    if mask.shape != target.shape:
+        raise DimensionMismatch(f"mask shape {mask.shape}, expected {target.shape}")
     if np.count_nonzero(mask) < _SPARSE_HARD * mask.size:
         hard = np.flatnonzero(mask)
         np.put(target, hard, hard_map(np.take(source, hard)))
     else:
-        np.putmask(target, mask, hard_map(source, out=scratch))
+        np.putmask(target, mask, hard_map(source))
 
 
 def forward_logits(cosines, labels, config: LossConfig, mask=None, margins=None,
-                   out=None, scratch=None) -> np.ndarray:
+                   out=None) -> np.ndarray:
     """Margined logit matrix for one batch, written into ``out`` when given.
 
     ``mask`` (N x C binary, zero on the label column) and ``margins``
     (length N) are consulted only by mv_softmax / npcface; the other
-    variants ignore them. ``scratch`` (N x C) may hold the hard-negative
-    logits on their way into ``out``.
+    variants ignore them.
     """
     cosines = np.asarray(cosines, dtype=np.float64)
     n, c = cosines.shape
@@ -200,12 +201,8 @@ def forward_logits(cosines, labels, config: LossConfig, mask=None, margins=None,
 
     logits = np.multiply(config.s, cosines, out=out)
     if rule.mines:
-        def hard_logits(hard_cosines, out=None):
-            hard = np.multiply(config.t, hard_cosines, out=out)
-            hard += rule.hard_offset
-            hard *= config.s
-            return hard
-        _put_hard(logits, mask, cosines, hard_logits, scratch)
+        _put_hard(logits, mask, cosines,
+                  lambda hard_cos: config.s * (config.t * hard_cos + rule.hard_offset))
     if rule.positive is None:
         return logits
 
@@ -271,10 +268,9 @@ def _arc_positive_factor(pos_cos, m_pos, s):
 
 
 def backward_cosines(d_logits, cosines, labels, config: LossConfig, mask=None, margins=None,
-                     out=None, scratch=None) -> np.ndarray:
+                     out=None) -> np.ndarray:
     """Chain ``d_logits`` through the margined logit map: returns dL/dcos,
-    written into ``out`` when given; ``scratch`` (N x C) may hold the hard
-    entries on their way into it.
+    written into ``out`` when given.
 
     The mask and the collaborative margins must be the same frozen arrays
     that produced the matching forward logits.
@@ -282,6 +278,8 @@ def backward_cosines(d_logits, cosines, labels, config: LossConfig, mask=None, m
     d_logits = np.asarray(d_logits, dtype=np.float64)
     cosines = np.asarray(cosines, dtype=np.float64)
     n, c = cosines.shape
+    if d_logits.shape != cosines.shape:
+        raise DimensionMismatch(f"d_logits shape {d_logits.shape}, expected {cosines.shape}")
     labels = _check_labels(labels, n, c)
     rows = np.arange(n)
 
@@ -290,9 +288,8 @@ def backward_cosines(d_logits, cosines, labels, config: LossConfig, mask=None, m
 
     d_cosines = np.multiply(d_logits, config.s, out=out)
     if rule.mines:
-        hard_factor = config.s * config.t
         _put_hard(d_cosines, mask, d_logits,
-                  lambda hard_d, out=None: np.multiply(hard_d, hard_factor, out=out), scratch)
+                  lambda hard_d: hard_d * (config.s * config.t))
 
     if rule.positive == "cos":
         d_cosines[rows, labels] = d_logits[rows, labels] * config.s
@@ -303,21 +300,20 @@ def backward_cosines(d_logits, cosines, labels, config: LossConfig, mask=None, m
     return d_cosines
 
 
-def backward_parameters(d_cosines, cache: "HeadCache", scratch=None):
+def backward_parameters(d_cosines, cache: "HeadCache"):
     """Pull dL/dcos back through normalization onto the raw arrays.
 
     cos_ij = <x_i/|x_i|, w_j/|w_j|>, so
         dcos/dx_i = (w_hat_j - cos_ij * x_hat_i) / |x_i|
     and symmetrically for w_j. The unit rows and cosines are the ones
-    ``head_forward`` cached; the N x C product d_cos * cos goes into
-    ``scratch`` when given. Returns (d_features, d_weights).
+    ``head_forward`` cached. Returns (d_features, d_weights).
     """
     d_cosines = np.asarray(d_cosines, dtype=np.float64)
     x_hat, w_hat, cos = cache.features, cache.weights, cache.cosines
     x_norms = np.linalg.norm(cache.raw_features, axis=1)
     w_norms = np.linalg.norm(cache.raw_weights, axis=1)
 
-    weighted = np.multiply(d_cosines, cos, out=scratch)
+    weighted = d_cosines * cos
     row_mix = np.sum(weighted, axis=1)
     d_features = (d_cosines @ w_hat - row_mix[:, None] * x_hat) / x_norms[:, None]
     col_mix = np.sum(weighted, axis=0)
@@ -326,20 +322,15 @@ def backward_parameters(d_cosines, cache: "HeadCache", scratch=None):
 
 
 class HeadWorkspace(NamedTuple):
-    """The N x C arrays of one head pass, for the stages to write into.
-
-    ``HeadWorkspace.allocate(n, c)`` sizes them for batches of up to n rows;
-    a training run passes one to every ``head_forward``, so the arrays a
-    pass returns are overwritten by the next pass. The default, every field
-    None, makes each stage return fresh arrays.
-    """
+    """The N x C arrays of one head pass, sized by ``allocate(n, c)`` for
+    batches of up to n rows; each pass overwrites the arrays of the last.
+    The default, every field None, makes each stage return fresh arrays."""
 
     cosines: np.ndarray | None = None
     mask: np.ndarray | None = None
     logits: np.ndarray | None = None       # softmax probabilities, in place
     d_logits: np.ndarray | None = None
     d_cosines: np.ndarray | None = None
-    scratch: np.ndarray | None = None      # each stage's temporary product
 
     @classmethod
     def allocate(cls, n: int, c: int) -> "HeadWorkspace":
@@ -363,8 +354,7 @@ def frozen_auxiliaries(cosines, labels, config: LossConfig, workspace=HeadWorksp
         return None, None
     mask = compute_mask(cosines, labels, config.m0, out=workspace.mask)
     if rule.collaborative:
-        margins = collaborative_margin(cosines, mask, config.m0, config.m1,
-                                       scratch=workspace.scratch)
+        margins = collaborative_margin(cosines, mask, config.m0, config.m1)
     else:
         margins = None
     return mask, margins
@@ -395,18 +385,15 @@ def head_forward(raw_features, raw_weights, labels, config: LossConfig,
 
     When ``mask``/``margins`` are omitted they are mined from the current
     cosines (the per-iteration semantics); pass the cached arrays to keep
-    them frozen across evaluations, e.g. for finite differences. With a
-    ``workspace`` from ``HeadWorkspace.allocate`` every N x C array of this
-    pass and of ``head_backward`` lives in its first N rows; by default they
-    are fresh.
+    them frozen across evaluations, e.g. for finite differences. Every N x C
+    array of this pass and of ``head_backward`` lives in ``workspace``.
     """
     features, weights = normalize_rows(raw_features), normalize_rows(raw_weights)
     ws = workspace.rows(features.shape[0])
     cosines = cosine_matrix(features, weights, out=ws.cosines)
     if mask is None and config._rule.mines:
         mask, margins = frozen_auxiliaries(cosines, labels, config, ws)
-    logits = forward_logits(cosines, labels, config, mask, margins,
-                            out=ws.logits, scratch=ws.scratch)
+    logits = forward_logits(cosines, labels, config, mask, margins, out=ws.logits)
     probs = softmax_probabilities(logits, out=logits)
     loss = loss_value(probs, labels)
     cache = HeadCache(raw_features, raw_weights, features, weights, labels, config,
@@ -419,8 +406,8 @@ def head_backward(loss: float, cache: HeadCache) -> GradientBundle:
     ws = cache.workspace
     d_logits = backward_logits(cache.probs, cache.labels, out=ws.d_logits)
     d_cosines = backward_cosines(d_logits, cache.cosines, cache.labels, cache.config,
-                                 cache.mask, cache.margins, out=ws.d_cosines, scratch=ws.scratch)
-    d_features, d_weights = backward_parameters(d_cosines, cache, scratch=ws.scratch)
+                                 cache.mask, cache.margins, out=ws.d_cosines)
+    d_features, d_weights = backward_parameters(d_cosines, cache)
     return GradientBundle(loss, d_logits, d_cosines, d_features, d_weights)
 
 

@@ -171,16 +171,19 @@ NAN_FIELDS = [
     (OptimizerState, {"lr": 0.1}, "lr"), (OptimizerState, {"lr": 0.1}, "weight_decay"),
 ]
 
-
-NON_FINITE_CASES = [pytest.param(spec, required, name, value, id=f"{spec.__name__}.{name}{suffix}")
-                    for value, suffix in ((float("nan"), ""), (float("inf"), "-inf"))
-                    for spec, required, name in NAN_FIELDS]
+NAN_FIELD_IDS = [f"{spec.__name__}.{name}" for spec, _, name in NAN_FIELDS]
 
 
-@pytest.mark.parametrize("spec, required, name, value", NON_FINITE_CASES)
-def test_spec_built_from_python_rejects_nan(spec, required, name, value):
+@pytest.mark.parametrize("spec, required, name", NAN_FIELDS, ids=NAN_FIELD_IDS)
+def test_spec_built_from_python_rejects_nan(spec, required, name):
     with pytest.raises(ValueError, match=name):
-        spec(**{**required, name: value})
+        spec(**{**required, name: float("nan")})
+
+
+@pytest.mark.parametrize("spec, required, name", NAN_FIELDS, ids=NAN_FIELD_IDS)
+def test_spec_built_from_python_rejects_infinity(spec, required, name):
+    with pytest.raises(ValueError, match=name):
+        spec(**{**required, name: float("inf")})
 
 
 # text a config line can hold: no comment mark, no line break, nothing the

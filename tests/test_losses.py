@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from marginlab.errors import ConfigMismatch
+from marginlab.errors import ConfigMismatch, DimensionMismatch
 from marginlab.geometry import cos_shifted, normalize_rows
 from marginlab.hardness import collaborative_margin, compute_mask
 from marginlab.losses import (
@@ -198,6 +198,30 @@ def test_hard_entries_match_the_plain_blend_at_any_density(variant, density):
     d_cos = backward_cosines(d_logits, cos, labels, cfg, mask, margins)
     blend = d_logits * np.where(mask, cfg.s * cfg.t, cfg.s)
     assert d_cos[negatives].tobytes() == blend[negatives].tobytes()
+
+
+@pytest.mark.parametrize("stage", ["forward_logits", "backward_cosines"])
+@pytest.mark.parametrize("shape", [(5, 9), (6, 1), (6, 10)], ids=["short", "column", "wide"])
+def test_misshaped_mask_is_rejected(stage, shape):
+    rng = np.random.default_rng(34)
+    cos, d_logits = rng.uniform(-1, 1, (6, 9)), rng.standard_normal((6, 9))
+    labels = rng.integers(0, 9, 6)
+    mask = np.zeros(shape, dtype=bool)
+    mask[0, 0] = True
+    cfg, margins = npc_config(), np.full(6, 0.4)
+    with pytest.raises(DimensionMismatch, match="mask shape"):
+        if stage == "forward_logits":
+            forward_logits(cos, labels, cfg, mask, margins)
+        else:
+            backward_cosines(d_logits, cos, labels, cfg, mask, margins)
+
+
+@pytest.mark.parametrize("shape", [(5, 9), (6, 1), (6, 10)], ids=["short", "column", "wide"])
+def test_misshaped_d_logits_is_rejected(shape):
+    rng = np.random.default_rng(35)
+    cos, labels = rng.uniform(-1, 1, (6, 9)), rng.integers(0, 9, 6)
+    with pytest.raises(DimensionMismatch, match="d_logits shape"):
+        backward_cosines(np.ones(shape), cos, labels, LossConfig(variant=Variant.ARCFACE))
 
 
 def head_cache(x, w):

@@ -13,12 +13,11 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from . import hardness, losses, metrics, reports
-from .config import ExperimentConfig, build_config, load_config, variant_token_to_loss
+from .config import ExperimentConfig, build_config, load_config, variant_values
 from .data import evaluation_split, generate_dataset
 from .errors import (
     ConfigParseError,
@@ -30,7 +29,7 @@ from .errors import (
     MarginLabError,
 )
 from .model import EmbeddingNet, ModelSpec, init_class_weights
-from .seeds import derive_seed, named_rng
+from .seeds import named_rng
 from .train import end_to_end_check, full_set_cosines, train
 
 EXIT_OK = 0
@@ -86,23 +85,23 @@ def _prepare_out_dir(experiment, out_override):
     return out_dir
 
 
-def _apply_overrides(experiment, args):
-    """Re-derive sub-seeds that the config did not pin explicitly."""
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        experiment = replace(experiment, seed=seed)
-        if "dataset.seed" not in experiment.explicit_keys:
-            experiment = replace(experiment, dataset=replace(
-                experiment.dataset, seed=derive_seed(seed, "dataset")))
-        if "model.seed" not in experiment.explicit_keys:
-            experiment = replace(experiment, model=replace(
-                experiment.model, seed=derive_seed(seed, "model")))
-    return experiment
+def _load_config(args):
+    """The ``--config`` file with ``--seed``, if given, set as in the file."""
+    experiment = load_config(args.config)
+    return experiment if args.seed is None else experiment.override({"seed": args.seed})
+
+
+def _with_token(experiment, token):
+    """``experiment`` with the token's values set; its config errors name the token."""
+    values = variant_values(token)
+    try:
+        return experiment.override(values)
+    except ConfigParseError as exc:
+        raise ConfigParseError(f"variant token {token!r}: {exc}", field=exc.field)
 
 
 def cmd_train(args) -> int:
-    experiment = load_config(args.config)
-    experiment = _apply_overrides(experiment, args)
+    experiment = _load_config(args)
     out_dir = _prepare_out_dir(experiment, args.out)
     started = time.monotonic()
 
@@ -139,13 +138,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    experiment = load_config(args.config)
-    experiment = _apply_overrides(experiment, args)
+    experiment = _load_config(args)
     tokens = [t.strip() for t in args.variants.split(",") if t.strip()]
     if len(tokens) < 2:
         raise ConfigParseError("compare needs at least two variants")
-    variants = [(token, experiment.with_loss(variant_token_to_loss(token, experiment)))
-                for token in tokens]
+    variants = [(token, _with_token(experiment, token)) for token in tokens]
     out_dir = _prepare_out_dir(experiment, args.out)
     started = time.monotonic()
 
@@ -181,11 +178,15 @@ def cmd_analyze(args) -> int:
         experiment = load_config(args.config)
     out_dir = _prepare_out_dir(experiment, args.out)
     m0 = experiment.loss.m0 if args.m0 is None else args.m0
-    inputs, labels = generate_dataset(experiment.dataset)
     if experiment.dataset.input_dim != model.spec.input_dim:
         raise ConfigParseError(
             f"dataset input_dim {experiment.dataset.input_dim} does not fit the "
             f"checkpoint model ({model.spec.input_dim})")
+    if experiment.n_classes > class_weights.shape[0]:
+        raise ConfigParseError(
+            f"dataset n_classes {experiment.n_classes} exceeds the checkpoint's "
+            f"{class_weights.shape[0]} classifier rows")
+    inputs, labels = generate_dataset(experiment.dataset)
     scan = hardness.row_scan(full_set_cosines(model, class_weights, inputs), labels, m0)
     report = scan.correlation()
     overlap = scan.overlap(n_bins=args.bins)
@@ -234,7 +235,7 @@ def cmd_gradcheck(args) -> int:
     # default re-scaling 64 saturates double-precision finite differences
     # (loss differences underflow); check at a numerically informative s
     # unless the token sets its own
-    variant = variant_token_to_loss(args.variant, build_config({"loss.s": args.scale}))
+    variant = _with_token(build_config({"loss.s": args.scale}), args.variant).loss
     shape = _parse_shape(args.shape)
     try:
         losses.check_epsilon(args.epsilon)
@@ -264,22 +265,20 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_dimstudy(args) -> int:
-    experiment = load_config(args.config)
-    experiment = _apply_overrides(experiment, args)
+    experiment = _load_config(args)
     try:
         dims = [int(v) for v in args.dims.split(",") if v.strip()]
     except ValueError:
         raise ConfigParseError(f"bad --dims {args.dims!r}; expected a comma list of integers")
     if len(dims) < 2:
         raise ConfigParseError("dimstudy needs at least two embedding dimensions")
+    hidden = experiment.model.layer_widths[:-1]
+    variants = [(dim, experiment.override({"model.layer_widths": (*hidden, dim)})) for dim in dims]
     out_dir = _prepare_out_dir(experiment, args.out)
     started = time.monotonic()
 
     blocks = []
-    for dim in dims:
-        widths = (*experiment.model.layer_widths[:-1], dim)
-        variant_experiment = replace(
-            experiment, model=replace(experiment.model, layer_widths=widths))
+    for dim, variant_experiment in variants:
         result = train(variant_experiment)
         inputs, labels = generate_dataset(variant_experiment.dataset)
         scan = hardness.row_scan(full_set_cosines(result.model, result.class_weights, inputs),

@@ -7,7 +7,7 @@ artifacts alone.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .data import SyntheticDatasetSpec
 from .errors import ConfigParseError
@@ -151,7 +151,8 @@ class ExperimentConfig:
     momentum: float = 0.9
     weight_decay: float = 0.0005
     raw_text: str = ""
-    explicit_keys: frozenset = field(default_factory=frozenset)
+    #: the schema values set explicitly; every other key is a default or derived
+    values: dict = field(default_factory=dict)
 
     @property
     def n_classes(self) -> int:
@@ -186,18 +187,15 @@ class ExperimentConfig:
             flat[key] = _FORMATS[parser](value) if parser in _FORMATS else value
         return flat
 
-    def with_loss(self, loss: LossConfig) -> "ExperimentConfig":
-        return replace(self, loss=loss)
+    def override(self, values: dict) -> "ExperimentConfig":
+        """This config with ``values`` set as if written in its file: the
+        sub-seeds and the margin are still derived unless set."""
+        return build_config({**self.values, **values}, raw_text=self.raw_text)
 
 
-def default_margin(variant: Variant) -> float:
-    return DEFAULT_MARGIN.get(variant, FALLBACK_MARGIN)
-
-
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse flat config text; raises ConfigParseError with line context."""
+def parse_values(text: str) -> dict:
+    """Schema values set in flat config text; raises ConfigParseError with line context."""
     values = {}
-    explicit = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -217,20 +215,22 @@ def parse_config_text(text: str) -> ExperimentConfig:
             values[key] = parser(value)
         except ValueError as exc:
             raise ConfigParseError(f"line {lineno}: key {key!r}: {exc}", line=lineno, field=key)
-        explicit.add(key)
-
-    return build_config(values, explicit, raw_text=text)
+    return values
 
 
-def build_config(values: dict, explicit=frozenset(), raw_text: str = "") -> ExperimentConfig:
-    """Assemble an ExperimentConfig from parsed values, applying defaults."""
+def parse_config_text(text: str) -> ExperimentConfig:
+    return build_config(parse_values(text), raw_text=text)
+
+
+def build_config(values: dict, raw_text: str = "") -> ExperimentConfig:
+    """Assemble an ExperimentConfig from the explicitly set values and defaults."""
     flat = {key: values.get(key, default) for key, (_, default) in SCHEMA.items()}
     # the keys whose defaults depend on other keys
     if flat["loss.m"] is None:
-        flat["loss.m"] = default_margin(flat["loss.variant"])
+        flat["loss.m"] = DEFAULT_MARGIN.get(flat["loss.variant"], FALLBACK_MARGIN)
     if flat["model.layer_widths"] is None:
         flat["model.layer_widths"] = (flat["dataset.input_dim"], 32, 16)
-    if "schedule.milestones" not in explicit:
+    if "schedule.milestones" not in values:
         flat["schedule.milestones"] = tuple(
             m for m in flat["schedule.milestones"] if m < flat["schedule.total_epochs"])
     for section in ("dataset", "model"):
@@ -254,8 +254,7 @@ def build_config(values: dict, explicit=frozenset(), raw_text: str = "") -> Expe
             f"model.layer_widths starts at {model.input_dim} but dataset.input_dim "
             f"is {dataset.input_dim}", field="model.layer_widths",
         )
-    return ExperimentConfig(**parts, **fields[""], raw_text=raw_text,
-                            explicit_keys=frozenset(explicit))
+    return ExperimentConfig(**parts, **fields[""], raw_text=raw_text, values=dict(values))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -267,38 +266,22 @@ def load_config(path) -> ExperimentConfig:
     return parse_config_text(text)
 
 
-def variant_token_to_loss(token: str, base: ExperimentConfig) -> LossConfig:
-    """Build a LossConfig from a compare/sweep token.
+def variant_values(token: str) -> dict:
+    """The ``loss.*`` values a compare/gradcheck token sets.
 
     Grammar: ``variant[:key=value[;key=value...]]`` where keys are the
     ``loss.*`` schema keys other than ``variant``, parsed as in a config
     file, e.g. ``npcface:t=1;alpha=0;m1=0``.
     """
     name, _, override_text = token.partition(":")
+    texts = {"loss.variant": name}
+    for item in filter(str.strip, override_text.split(";")):
+        key, eq, value = item.partition("=")
+        key = f"loss.{key.strip()}"
+        if not eq or key == "loss.variant" or key not in SCHEMA:
+            raise ConfigParseError(f"variant token {token!r}: bad override {item!r}", field=key)
+        texts[key] = value
     try:
-        variant = _parse_variant(name)
+        return {key: SCHEMA[key][0](text.strip()) for key, text in texts.items()}
     except ValueError as exc:
-        raise ConfigParseError(str(exc), field="variant")
-    overrides = {}
-    if override_text:
-        for item in override_text.split(";"):
-            if not item.strip():
-                continue
-            key, eq, value = item.partition("=")
-            key = key.strip()
-            if not eq or key == "variant" or f"loss.{key}" not in SCHEMA:
-                raise ConfigParseError(f"bad variant override {item!r} in {token!r}", field=key)
-            parser, _ = SCHEMA[f"loss.{key}"]
-            try:
-                overrides[key] = parser(value.strip())
-            except ValueError as exc:
-                raise ConfigParseError(f"bad variant override {item!r} in {token!r}: {exc}",
-                                       field=key)
-
-    margin = overrides.pop("m", None)
-    if margin is None:
-        margin = base.loss.m if "loss.m" in base.explicit_keys else default_margin(variant)
-    try:
-        return replace(base.loss, variant=variant, m=margin, **overrides)
-    except ValueError as exc:
-        raise ConfigParseError(f"variant token {token!r}: {exc}", field="variant")
+        raise ConfigParseError(f"variant token {token!r}: {exc}")

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from . import __version__
-from .config import SCHEMA_VERSION, ExperimentConfig, parse_config_text
+from .config import SCHEMA_VERSION, ExperimentConfig, build_config, parse_values
 from .errors import ConfigParseError
 from .model import EmbeddingNet
 
@@ -174,10 +174,11 @@ def _read_tensor(header, lines):
 def load_checkpoint(path):
     """Returns (experiment_config, model, class_weights, epochs_trained).
 
-    The config is re-parsed from the embedded echo, so a checkpoint is
-    sufficient to reproduce its run. An unreadable or non-UTF-8 file, a file
-    without its ``end`` line, a non-finite tensor entry, or one missing or
-    misshaping a tensor the embedded config implies, raises ConfigParseError.
+    The config is rebuilt from the ``field`` lines (the effective values,
+    ``--seed`` included), so a checkpoint is sufficient to reproduce its run.
+    An unreadable or non-UTF-8 file, a file without its ``end`` line, a
+    non-finite tensor entry, or one missing or misshaping a tensor the
+    config implies, raises ConfigParseError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -187,7 +188,7 @@ def load_checkpoint(path):
     magic = next(lines, "")
     if not magic.startswith(CHECKPOINT_MAGIC):
         raise ConfigParseError(f"{path} is not a marginlab checkpoint")
-    tensors = {}
+    tensors, fields = {}, []
     try:
         epochs_trained = int(next(lines).split()[1])
         raw_text = json.loads(next(lines).split(" ", 1)[1])
@@ -195,13 +196,15 @@ def load_checkpoint(path):
             if line.startswith("tensor "):
                 name, array = _read_tensor(line, lines)
                 tensors[name] = array
+            elif line.startswith("field "):
+                fields.append(line[len("field "):])
             elif line == "end":
                 break
         else:
             raise ConfigParseError(f"{path} is truncated: no end line")
     except (StopIteration, IndexError, ValueError) as exc:
         raise ConfigParseError(f"{path} is truncated or malformed: {exc!r}")
-    experiment = parse_config_text(raw_text)
+    experiment = build_config(parse_values("\n".join(fields)), raw_text=raw_text)
 
     model = EmbeddingNet(experiment.model)
     names = [f"layer{i}.{kind}" for i in range(model.n_layers) for kind in ("weight", "bias")]

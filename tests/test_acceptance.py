@@ -11,7 +11,7 @@ import numpy as np
 
 from marginlab import losses as L
 from marginlab.cli import main as cli_main
-from marginlab.config import parse_config_text, variant_token_to_loss
+from marginlab.config import parse_config_text, variant_values
 from marginlab.hardness import collaborative_margin, compute_mask
 from marginlab.losses import LossConfig, Variant
 from marginlab.metrics import (
@@ -309,7 +309,7 @@ def test_criterion_8_ablation_direction():
         base = parse_config_text(CROWDED_TASK.format(seed=seed))
         tars = {}
         for token, label in ABLATION_TOKENS:
-            cfg = base.with_loss(variant_token_to_loss(token, base))
+            cfg = base.override(variant_values(token))
             tars[label] = final_metrics(train(cfg), cfg)["tar_at_far"]["0.01"]
         margins_beat = all(tars[k] >= tars["softmax"]
                            for k in ("arcface", "neg-only", "pos-only", "full"))
@@ -358,7 +358,7 @@ def test_criterion_10_flexibility_sweep():
     lines = []
     for t in (1.1, 1.2, 1.3):
         cfg = parse_config_text(base)
-        cfg = cfg.with_loss(variant_token_to_loss(f"mv_softmax:t={t}", cfg))
+        cfg = cfg.override(variant_values(f"mv_softmax:t={t}"))
         result = train(cfg)
         finite = bool(np.isfinite(result.log.losses()).all())
         drop = result.log.epoch_mean_loss(30) < result.log.epoch_mean_loss(1)
@@ -368,7 +368,7 @@ def test_criterion_10_flexibility_sweep():
     ok = True
     for alpha in (0.15, 0.25, 0.35):
         cfg = parse_config_text(base)
-        cfg = cfg.with_loss(variant_token_to_loss(f"npcface:alpha={alpha}", cfg))
+        cfg = cfg.override(variant_values(f"npcface:alpha={alpha}"))
         result = train(cfg)
         finite = bool(np.isfinite(result.log.losses()).all())
         drop = result.log.epoch_mean_loss(30) < result.log.epoch_mean_loss(1)

@@ -45,6 +45,11 @@ def read(path):
         return fh.read()
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 class TestTrainCommand:
     def test_artifacts_exist_and_are_consistent(self, config_path, tmp_path):
         out = str(tmp_path / "run")
@@ -140,6 +145,7 @@ def assert_one_line_config_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+    return err
 
 
 class TestCompareCommand:
@@ -197,6 +203,13 @@ class TestCompareCommand:
                      "--variants", "arcface,npcface:t=abc"]) == 2
         assert_one_line_config_error(capsys)
         assert not (tmp_path / "x").exists()    # rejected before arcface trains
+
+    def test_invalid_later_token_rejected_before_training(self, config_path, tmp_path, capsys):
+        assert main(["compare", "--config", config_path, "--out", str(tmp_path / "x"),
+                     "--variants", "arcface,cosface:m=4"]) == 2
+        err = assert_one_line_config_error(capsys)
+        assert err.startswith("config error: variant token 'cosface:m=4': ")
+        assert not (tmp_path / "x").exists()
 
 
 class TestAnalyzeCommand:
@@ -280,6 +293,29 @@ class TestAnalyzeCommand:
         with pytest.raises(ConfigParseError, match="class_weights"):
             load_checkpoint(bad)
 
+    def test_seed_override_is_kept_in_the_checkpoint(self, config_path, tmp_path):
+        # SMALL_CONFIG pins neither dataset.seed nor model.seed, so both
+        # follow --seed
+        out, an = str(tmp_path / "run"), str(tmp_path / "an")
+        assert main(["train", "--config", config_path, "--out", out, "--seed", "11"]) == 0
+        assert main(["analyze", "--checkpoint", os.path.join(out, "checkpoint.txt"),
+                     "--out", an]) == 0
+        trained = read_json(os.path.join(out, "summary.json"))["config_effective"]
+        analyzed = read_json(os.path.join(an, "analyze_summary.json"))["config_effective"]
+        assert trained["seed"] == 11
+        assert analyzed == trained
+
+    def test_more_classes_than_the_checkpoint_rejected(self, config_path, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        main(["train", "--config", config_path, "--out", out])
+        wider = tmp_path / "wider.cfg"
+        wider.write_text(SMALL_CONFIG.replace("dataset.n_classes = 8", "dataset.n_classes = 30"),
+                         encoding="utf-8")
+        capsys.readouterr()
+        assert main(["analyze", "--checkpoint", os.path.join(out, "checkpoint.txt"),
+                     "--config", str(wider), "--out", str(tmp_path / "an")]) == 2
+        assert_one_line_config_error(capsys)
+
 
 class TestGradcheckCommand:
     def test_every_variant_passes(self, capsys):
@@ -306,6 +342,11 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--variant", "npcface:t=abc"]) == 2
         assert_one_line_config_error(capsys)
 
+    def test_invalid_override_names_the_token(self, capsys):
+        assert main(["gradcheck", "--variant", "cosface:m=4"]) == 2
+        err = assert_one_line_config_error(capsys)
+        assert err.startswith("config error: variant token 'cosface:m=4': ")
+
     def test_non_numeric_shape_rejected(self, capsys):
         assert main(["gradcheck", "--variant", "npcface", "--shape", "n=x"]) == 2
         assert_one_line_config_error(capsys)
@@ -319,6 +360,10 @@ class TestGradcheckCommand:
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_not_positive_and_finite_rejected(self, capsys, flag, value):
         assert main(["gradcheck", "--variant", "npcface", flag, value]) == 2
+        assert_one_line_config_error(capsys)
+
+    def test_bad_scale_rejected_when_the_token_sets_s(self, capsys):
+        assert main(["gradcheck", "--variant", "npcface:s=9", "--scale", "-1"]) == 2
         assert_one_line_config_error(capsys)
 
     def test_token_scale_wins_over_the_flag(self, capsys):
@@ -359,3 +404,10 @@ class TestDimstudyCommand:
         assert main(["dimstudy", "--config", config_path,
                      "--out", str(tmp_path / "x"), "--dims", "4,x"]) == 2
         assert_one_line_config_error(capsys)
+
+    def test_non_positive_dimension_rejected_before_training(self, config_path, tmp_path,
+                                                             capsys):
+        assert main(["dimstudy", "--config", config_path,
+                     "--out", str(tmp_path / "x"), "--dims", "4,0"]) == 2
+        assert_one_line_config_error(capsys)
+        assert not (tmp_path / "x").exists()    # rejected before d=4 trains

@@ -8,7 +8,7 @@ from marginlab.config import (
     SCHEMA,
     build_config,
     parse_config_text,
-    variant_token_to_loss,
+    variant_values,
 )
 from marginlab.data import SyntheticDatasetSpec
 from marginlab.errors import ConfigParseError
@@ -107,47 +107,47 @@ def test_flat_values_roundtrip_through_schema():
     flat = cfg.flat_values()
     assert flat["loss.variant"] == "mv_softmax"
     assert flat["seed"] == 3
-    rebuilt = build_config({"seed": 3}, {"seed"})
+    rebuilt = build_config({"seed": 3})
     assert rebuilt.seed == 3
 
 
 class TestVariantTokens:
     def test_plain_name(self):
         base = parse_config_text("")
-        loss = variant_token_to_loss("arcface", base)
+        loss = base.override(variant_values("arcface")).loss
         assert loss.variant is Variant.ARCFACE
         assert loss.m == 0.5
 
     def test_overrides(self):
         base = parse_config_text("")
-        loss = variant_token_to_loss("npcface:t=1;alpha=0;m1=0", base)
+        loss = base.override(variant_values("npcface:t=1;alpha=0;m1=0")).loss
         assert loss.t == 1.0 and loss.alpha == 0.0 and loss.m1 == 0.0
         assert loss.m0 == base.loss.m0
 
     def test_margin_override(self):
         base = parse_config_text("")
-        assert variant_token_to_loss("arcface:m=0.3", base).m == 0.3
+        assert base.override(variant_values("arcface:m=0.3")).loss.m == 0.3
 
     def test_explicit_config_margin_survives(self):
         base = parse_config_text("loss.m = 0.25\n")
-        assert variant_token_to_loss("cosface", base).m == 0.25
+        assert base.override(variant_values("cosface")).loss.m == 0.25
 
     def test_bad_token_rejected(self):
         base = parse_config_text("")
         with pytest.raises(ConfigParseError):
-            variant_token_to_loss("npcface:bogus=1", base)
+            base.override(variant_values("npcface:bogus=1")).loss
         with pytest.raises(ConfigParseError):
-            variant_token_to_loss("sphereface", base)
+            base.override(variant_values("sphereface")).loss
         with pytest.raises(ConfigParseError):
-            variant_token_to_loss("npcface:variant=arcface", base)
+            base.override(variant_values("npcface:variant=arcface")).loss
 
     def test_overrides_use_the_schema_parsers(self):
         base = parse_config_text("")
-        loss = variant_token_to_loss("mv_softmax:mv_positive= cos ;s= 30", base)
+        loss = base.override(variant_values("mv_softmax:mv_positive= cos ;s= 30")).loss
         assert loss.mv_positive == "cos" and loss.s == 30.0
         for token in ("npcface:s=nan", "arcface:m=inf", "npcface:alpha=-inf"):
             with pytest.raises(ConfigParseError, match="not a finite number"):
-                variant_token_to_loss(token, base)
+                base.override(variant_values(token)).loss
 
 
 @pytest.mark.parametrize("key", ["loss.s", "dataset.concentration", "schedule.lr_initial",
@@ -246,4 +246,43 @@ def test_flat_values_written_back_parse_to_the_same_config(text):
     written = "".join(f"{key} = {value}\n" for key, value in flat.items())
     again = parse_config_text(written)
     assert again.flat_values() == flat
-    assert replace(again, raw_text=text, explicit_keys=config.explicit_keys) == config
+    assert replace(again, raw_text=text, values=config.values) == config
+
+
+# loss keys a variant token may set; each range reaches just past the valid
+# one, so the draws at its ends are rejected
+TOKEN_FLOATS = {"s": (0.0, 1e3), "m": (0.0, 3.2), "t": (0.9, 3.0), "alpha": (-0.1, 2.0),
+                "m0": (0.0, 1.6), "m1": (0.0, 1.6)}
+
+
+@settings(max_examples=500, deadline=None)
+@given(config_texts(), st.data())
+def test_override_acts_as_if_written_in_the_text(text, data):
+    """--seed, a variant token and a --dims width give the config that
+    writing their lines into the file gives, or fail as it fails."""
+    config = parse_config_text(text)
+    kind = data.draw(st.sampled_from(["seed", "token", "width"]), label="kind")
+    if kind == "seed":
+        seed = data.draw(st.integers(0, 2**40), label="seed")
+        values, lines = {"seed": seed}, {"seed": str(seed)}
+    elif kind == "token":
+        variant = data.draw(st.sampled_from([v.value for v in Variant]), label="variant")
+        keys = data.draw(st.sets(st.sampled_from(sorted(TOKEN_FLOATS))), label="keys")
+        items = {key: repr(data.draw(st.floats(*TOKEN_FLOATS[key]), label=key))
+                 for key in sorted(keys)}
+        token = f"{variant}:" + ";".join(f"{k}={v}" for k, v in items.items())
+        values = variant_values(token)
+        lines = {"loss.variant": variant, **{f"loss.{k}": v for k, v in items.items()}}
+    else:
+        widths = (*config.model.layer_widths[:-1], data.draw(st.integers(0, 64), label="dim"))
+        values = {"model.layer_widths": widths}
+        lines = {"model.layer_widths": ",".join(map(str, widths))}
+    written = dict(line.split(" = ", 1) for line in text.splitlines())
+    written.update(lines)
+    try:
+        expected = parse_config_text("".join(f"{k} = {v}\n" for k, v in written.items()))
+    except ConfigParseError:
+        with pytest.raises(ConfigParseError):
+            config.override(values)
+    else:
+        assert config.override(values).flat_values() == expected.flat_values()

@@ -28,7 +28,7 @@ from .errors import (
     InsufficientSamples,
     MarginLabError,
 )
-from .model import EmbeddingNet, ModelSpec, init_class_weights
+from .model import ACTIVATIONS, EmbeddingNet, ModelSpec, init_class_weights
 from .seeds import named_rng
 from .train import end_to_end_check, full_set_cosines, train
 
@@ -100,6 +100,23 @@ def _with_token(experiment, token):
         raise ConfigParseError(f"variant token {token!r}: {exc}", field=exc.field)
 
 
+def _train_each(command, runs, finish):
+    """Train each (name, experiment) of ``runs`` in turn; a run that diverges
+    is reported and skipped. Returns the [(name, finish(result, experiment))]
+    of the finished runs and the names of the diverged ones."""
+    finished, diverged = [], []
+    for name, experiment in runs:
+        try:
+            result = train(experiment)
+        except DivergedLoss as exc:
+            diverged.append(name)
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            continue
+        finished.append((name, finish(result, experiment)))
+        print(f"{command}: finished {name}")
+    return finished, diverged
+
+
 def cmd_train(args) -> int:
     experiment = _load_config(args)
     out_dir = _prepare_out_dir(experiment, args.out)
@@ -146,16 +163,7 @@ def cmd_compare(args) -> int:
     out_dir = _prepare_out_dir(experiment, args.out)
     started = time.monotonic()
 
-    rows, diverged = [], []
-    for token, variant_experiment in variants:
-        try:
-            result = train(variant_experiment)
-        except DivergedLoss as exc:
-            diverged.append(token)
-            print(f"error: {token}: {exc}", file=sys.stderr)
-            continue
-        rows.append((token, final_metrics(result, variant_experiment)))
-        print(f"compare: finished {token}")
+    rows, diverged = _train_each("compare", variants, final_metrics)
 
     reports.write_compare_csv(os.path.join(out_dir, "comparison.csv"),
                               experiment.eval.far_targets, rows)
@@ -241,16 +249,13 @@ def cmd_gradcheck(args) -> int:
         losses.check_epsilon(args.epsilon)
     except ValueError as exc:
         raise ConfigParseError(f"--epsilon: {exc}")
-    spec = ModelSpec(
-        layer_widths=(shape["input"], shape["hidden"], shape["d"]),
-        activation=args.activation, init_scale=1.0,
-        seed=args.seed,
-    )
+    spec = ModelSpec(layer_widths=(shape["input"], shape["hidden"], shape["d"]),
+                     activation=args.activation, seed=args.seed)
     model = EmbeddingNet(spec)
     rng = named_rng(args.seed, "gradcheck")
     inputs = rng.standard_normal((shape["n"], shape["input"]))
     labels = rng.integers(0, shape["c"], size=shape["n"])
-    class_weights = init_class_weights(shape["c"], shape["d"], 1.0, args.seed)
+    class_weights = init_class_weights(shape["c"], shape["d"], spec.init_scale, args.seed)
 
     err, worst = end_to_end_check(
         model, class_weights, inputs, labels, variant, epsilon=args.epsilon,
@@ -273,19 +278,19 @@ def cmd_dimstudy(args) -> int:
     if len(dims) < 2:
         raise ConfigParseError("dimstudy needs at least two embedding dimensions")
     hidden = experiment.model.layer_widths[:-1]
-    variants = [(dim, experiment.override({"model.layer_widths": (*hidden, dim)})) for dim in dims]
+    runs = [(f"d={dim}", experiment.override({"model.layer_widths": (*hidden, dim)}))
+            for dim in dims]
     out_dir = _prepare_out_dir(experiment, args.out)
     started = time.monotonic()
 
-    blocks = []
-    for dim, variant_experiment in variants:
-        result = train(variant_experiment)
-        inputs, labels = generate_dataset(variant_experiment.dataset)
+    def nearest_histogram(result, run):
+        inputs, labels = generate_dataset(run.dataset)
         scan = hardness.row_scan(full_set_cosines(result.model, result.class_weights, inputs),
                                  labels, experiment.loss.m0)
-        edges, density = scan.nearest_histogram()
-        blocks.append((dim, edges, density))
-        print(f"dimstudy: finished d={dim}")
+        return (run.model.embedding_dim, *scan.nearest_histogram())
+
+    finished, diverged = _train_each("dimstudy", runs, nearest_histogram)
+    blocks = [block for _, block in finished]
 
     reports.write_dimstudy_csv(os.path.join(out_dir, "dimstudy.csv"), blocks)
     payload = reports.summary_payload(experiment, "dimstudy")
@@ -295,8 +300,11 @@ def cmd_dimstudy(args) -> int:
         for i, (a, _, da) in enumerate(blocks)
         for b, _, db in blocks[i + 1:]
     }
+    payload["diverged"] = diverged
     payload["elapsed_seconds"] = round(time.monotonic() - started, 3)
     reports.write_summary_json(os.path.join(out_dir, "dimstudy_summary.json"), payload)
+    if diverged:
+        return EXIT_DIVERGED
     print(f"dimstudy: histograms in {out_dir}/dimstudy.csv")
     return EXIT_OK
 
@@ -329,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="analyze a different dataset config than the embedded one")
     p_an.add_argument("--m0", type=float, default=None,
                       help="mask margin override (0 = plain mis-classification)")
-    p_an.add_argument("--bins", type=int, default=50)
+    p_an.add_argument("--bins", type=int, default=hardness.DEFAULT_BINS)
     p_an.add_argument("--out", default=None)
     p_an.set_defaults(func=cmd_analyze)
 
@@ -342,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--scale", type=float, default=12.0,
                       help="re-scaling s used when the token does not set one")
     p_gc.add_argument("--threshold", type=float, default=GRADCHECK_THRESHOLD)
-    p_gc.add_argument("--activation", choices=("relu", "tanh"), default="tanh")
+    p_gc.add_argument("--activation", choices=ACTIVATIONS, default="tanh")
     p_gc.add_argument("--corrupt", action="store_true",
                       help="negative control: corrupt one analytic gradient")
     p_gc.set_defaults(func=cmd_gradcheck)

@@ -7,7 +7,7 @@ artifacts alone.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .data import SyntheticDatasetSpec
 from .errors import ConfigParseError
@@ -18,9 +18,9 @@ from .seeds import derive_seed
 
 SCHEMA_VERSION = "1"
 
-# variant-specific conventional defaults for the fixed positive margin
+# variant-specific conventional defaults for the fixed positive margin; the
+# other variants take LossConfig.m's default
 DEFAULT_MARGIN = {Variant.COSFACE: 0.35}
-FALLBACK_MARGIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,16 @@ class EvalConfig:
     n_positive_pairs: int = 500
     n_negative_pairs: int = 500
     n_distractors: int = 200
-    far_targets: tuple = (0.1, 0.01)
+    far_targets: tuple[float, ...] = (0.1, 0.01)
     kfold: int = 10
 
     def __post_init__(self):
         if self.samples_per_class < 2:
             raise ValueError("eval.samples_per_class must be >= 2")
+        if self.n_positive_pairs < 1 or self.n_negative_pairs < 1:
+            raise ValueError("eval.n_positive_pairs and eval.n_negative_pairs must be >= 1")
+        if self.n_distractors < 0:
+            raise ValueError("eval.n_distractors must be >= 0")
         if self.kfold < 2:
             raise ValueError("eval.kfold must be >= 2")
         if any(not 0 < f <= 1 for f in self.far_targets):
@@ -55,16 +59,9 @@ def _parse_float(text):
     return value
 
 
-def _parse_str(text):
-    return text
-
-
-def _parse_int_list(text):
-    return tuple(int(v.strip(), 0) for v in text.split(",") if v.strip())
-
-
-def _parse_float_list(text):
-    return tuple(_parse_float(v) for v in text.split(",") if v.strip())
+def _parse_tuple(parse):
+    """Parser of a comma list whose items ``parse`` reads."""
+    return lambda text: tuple(parse(v.strip()) for v in text.split(",") if v.strip())
 
 
 def _parse_variant(text):
@@ -75,43 +72,18 @@ def _parse_variant(text):
         raise ValueError(f"unknown variant {text!r}; choose one of: {names}")
 
 
-#: key -> (parser, default). ``None`` defaults are resolved after parsing.
-SCHEMA = {
-    "seed": (_parse_int, 0),
-    "output_dir": (_parse_str, "runs/experiment"),
-    "dataset.n_classes": (_parse_int, 200),
-    "dataset.samples_per_class": (_parse_int, 20),
-    "dataset.input_dim": (_parse_int, 32),
-    "dataset.concentration": (_parse_float, 16.0),
-    "dataset.crowding": (_parse_float, 0.0),
-    "dataset.min_center_cosine": (_parse_float, 0.8),
-    "dataset.seed": (_parse_int, None),
-    "model.layer_widths": (_parse_int_list, None),
-    "model.activation": (_parse_str, "relu"),
-    "model.init_scale": (_parse_float, 1.0),
-    "model.seed": (_parse_int, None),
-    "loss.variant": (_parse_variant, Variant.NPCFACE),
-    "loss.s": (_parse_float, 64.0),
-    "loss.m": (_parse_float, None),
-    "loss.t": (_parse_float, 1.1),
-    "loss.alpha": (_parse_float, 0.25),
-    "loss.m0": (_parse_float, 0.4),
-    "loss.m1": (_parse_float, 0.2),
-    "loss.mv_positive": (_parse_str, "arc"),
-    "schedule.total_epochs": (_parse_int, 30),
-    "schedule.lr_initial": (_parse_float, 0.1),
-    "schedule.milestones": (_parse_int_list, (16, 24, 28)),
-    "schedule.decay_factor": (_parse_float, 10.0),
-    "schedule.batch_size": (_parse_int, 128),
-    "optimizer.momentum": (_parse_float, 0.9),
-    "optimizer.weight_decay": (_parse_float, 0.0005),
-    "eval.samples_per_class": (_parse_int, 4),
-    "eval.n_positive_pairs": (_parse_int, 500),
-    "eval.n_negative_pairs": (_parse_int, 500),
-    "eval.n_distractors": (_parse_int, 200),
-    "eval.far_targets": (_parse_float_list, (0.1, 0.01)),
-    "eval.kfold": (_parse_int, 10),
-}
+#: field annotation -> parser of a config value
+_PARSERS = {int: _parse_int, float: _parse_float, str: str, Variant: _parse_variant,
+            tuple[int, ...]: _parse_tuple(_parse_int),
+            tuple[float, ...]: _parse_tuple(_parse_float)}
+
+
+def _format(value):
+    """A parsed value as a config line writes it."""
+    if isinstance(value, tuple):
+        return ",".join(repr(v) for v in value)
+    return value.value if isinstance(value, Variant) else value
+
 
 #: section prefix -> the dataclass its keys construct; "optimizer.*" and the
 #: unprefixed keys are fields of ExperimentConfig itself
@@ -123,13 +95,6 @@ SECTIONS = {
     "eval": EvalConfig,
 }
 
-#: how ``flat_values`` writes the parsed values that are not plain scalars
-_FORMATS = {
-    _parse_int_list: lambda values: ",".join(str(v) for v in values),
-    _parse_float_list: lambda values: ",".join(repr(v) for v in values),
-    _parse_variant: lambda variant: variant.value,
-}
-
 
 def _split_key(key):
     """(section, field name) of a schema key; section "" is ExperimentConfig."""
@@ -139,20 +104,21 @@ def _split_key(key):
 
 @dataclass
 class ExperimentConfig:
-    """Everything one run needs, plus the raw text it was parsed from."""
+    """Everything one run needs, plus the raw text it was parsed from; only
+    ``build_config`` makes one. Declares the ``seed`` and ``output_dir`` keys."""
 
     dataset: SyntheticDatasetSpec
     model: ModelSpec
     loss: LossConfig
     schedule: TrainingSchedule
     eval: EvalConfig
+    momentum: float
+    weight_decay: float
+    raw_text: str
+    #: the schema values set explicitly; every other key is a default or derived
+    values: dict
     seed: int = 0
     output_dir: str = "runs/experiment"
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
-    raw_text: str = ""
-    #: the schema values set explicitly; every other key is a default or derived
-    values: dict = field(default_factory=dict)
 
     @property
     def n_classes(self) -> int:
@@ -181,16 +147,45 @@ class ExperimentConfig:
     def flat_values(self) -> dict:
         """Effective values for every schema key, in schema order."""
         flat = {}
-        for key, (parser, _) in SCHEMA.items():
+        for key in SCHEMA:
             section, name = _split_key(key)
-            value = getattr(getattr(self, section) if section else self, name)
-            flat[key] = _FORMATS[parser](value) if parser in _FORMATS else value
+            flat[key] = _format(getattr(getattr(self, section) if section else self, name))
         return flat
 
     def override(self, values: dict) -> "ExperimentConfig":
         """This config with ``values`` set as if written in its file: the
         sub-seeds and the margin are still derived unless set."""
         return build_config({**self.values, **values}, raw_text=self.raw_text)
+
+
+def _keys(prefix, cls, names=None):
+    """Schema entries for the fields of ``cls`` (those in ``names``, or all)."""
+    return {prefix + f.name: (_PARSERS[f.type], f.default)
+            for f in fields(cls) if names is None or f.name in names}
+
+
+#: key -> (parser, default), both from the dataclass field the key sets
+#: (its annotation and its default); a key in ``_DERIVED`` is derived instead
+SCHEMA = {
+    **_keys("", ExperimentConfig, ("seed", "output_dir")),
+    **_keys("dataset.", SyntheticDatasetSpec),
+    **_keys("model.", ModelSpec),
+    **_keys("loss.", LossConfig),
+    **_keys("schedule.", TrainingSchedule),
+    **_keys("optimizer.", OptimizerState, ("momentum", "weight_decay")),
+    **_keys("eval.", EvalConfig),
+}
+
+#: the keys that, unless set, follow from other keys; a rule reads the set
+#: values and the defaults, its own key's included
+_DERIVED = {
+    "dataset.seed": lambda flat: derive_seed(flat["seed"], "dataset"),
+    "model.seed": lambda flat: derive_seed(flat["seed"], "model"),
+    "model.layer_widths": lambda flat: (flat["dataset.input_dim"], 32, 16),
+    "loss.m": lambda flat: DEFAULT_MARGIN.get(flat["loss.variant"], flat["loss.m"]),
+    "schedule.milestones": lambda flat: tuple(
+        m for m in flat["schedule.milestones"] if m < flat["schedule.total_epochs"]),
+}
 
 
 def parse_values(text: str) -> dict:
@@ -225,24 +220,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
 def build_config(values: dict, raw_text: str = "") -> ExperimentConfig:
     """Assemble an ExperimentConfig from the explicitly set values and defaults."""
     flat = {key: values.get(key, default) for key, (_, default) in SCHEMA.items()}
-    # the keys whose defaults depend on other keys
-    if flat["loss.m"] is None:
-        flat["loss.m"] = DEFAULT_MARGIN.get(flat["loss.variant"], FALLBACK_MARGIN)
-    if flat["model.layer_widths"] is None:
-        flat["model.layer_widths"] = (flat["dataset.input_dim"], 32, 16)
-    if "schedule.milestones" not in values:
-        flat["schedule.milestones"] = tuple(
-            m for m in flat["schedule.milestones"] if m < flat["schedule.total_epochs"])
-    for section in ("dataset", "model"):
-        if f"{section}.seed" not in values:
-            flat[f"{section}.seed"] = derive_seed(flat["seed"], section)
+    flat.update({key: derive(flat) for key, derive in _DERIVED.items() if key not in values})
 
-    fields = {section: {} for section in ("", *SECTIONS)}
+    kwargs = {section: {} for section in ("", *SECTIONS)}
     for key, value in flat.items():
         section, name = _split_key(key)
-        fields[section][name] = value
+        kwargs[section][name] = value
     try:
-        parts = {section: cls(**fields[section]) for section, cls in SECTIONS.items()}
+        parts = {section: cls(**kwargs[section]) for section, cls in SECTIONS.items()}
         OptimizerState(flat["schedule.lr_initial"], flat["optimizer.momentum"],
                        flat["optimizer.weight_decay"])
     except ValueError as exc:
@@ -254,7 +239,7 @@ def build_config(values: dict, raw_text: str = "") -> ExperimentConfig:
             f"model.layer_widths starts at {model.input_dim} but dataset.input_dim "
             f"is {dataset.input_dim}", field="model.layer_widths",
         )
-    return ExperimentConfig(**parts, **fields[""], raw_text=raw_text, values=dict(values))
+    return ExperimentConfig(**parts, **kwargs[""], raw_text=raw_text, values=dict(values))
 
 
 def load_config(path) -> ExperimentConfig:

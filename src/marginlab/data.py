@@ -20,9 +20,9 @@ CROWDING_ATTEMPTS = 1000
 
 @dataclass(frozen=True)
 class SyntheticDatasetSpec:
-    n_classes: int
-    samples_per_class: int
-    input_dim: int
+    n_classes: int = 200
+    samples_per_class: int = 20
+    input_dim: int = 32
     concentration: float = 16.0
     crowding: float = 0.0
     min_center_cosine: float = 0.8
@@ -39,10 +39,6 @@ class SyntheticDatasetSpec:
             raise ValueError(f"concentration must be positive, got {self.concentration}")
         if not 0.0 <= self.crowding <= 1.0:
             raise ValueError(f"crowding must lie in [0, 1], got {self.crowding}")
-
-    @property
-    def n_total(self) -> int:
-        return self.n_classes * self.samples_per_class
 
 
 def _uniform_sphere(rng, n, d):

@@ -135,7 +135,7 @@ class RowScan:
         mis = self.mis
         if not mis.any() or mis.all():
             group = "mis-classified" if not mis.any() else "well-classified"
-            raise EmptyPartition(f"no {group} samples in this batch")
+            raise EmptyPartition(f"no {group} rows among the {mis.size} scanned")
         h_mis, edges = np.histogram(self.pos_cos[mis], bins=n_bins, range=(-1.0, 1.0))
         h_well, _ = np.histogram(self.pos_cos[~mis], bins=n_bins, range=(-1.0, 1.0))
         h_mis = h_mis / h_mis.sum()
@@ -152,7 +152,7 @@ class RowScan:
         is mis-classified.
         """
         if not self.mis.any():
-            raise EmptyPartition("no mis-classified samples in this batch")
+            raise EmptyPartition(f"no mis-classified rows among the {self.mis.size} scanned")
         counts, edges = np.histogram(self.nearest[self.mis], bins=n_bins, range=(-1.0, 1.0))
         return edges, counts / counts.sum()
 

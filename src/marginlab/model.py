@@ -19,7 +19,7 @@ ACTIVATIONS = ("relu", "tanh")
 class ModelSpec:
     """layer_widths runs input -> hidden... -> embedding dimension."""
 
-    layer_widths: tuple
+    layer_widths: tuple[int, ...]
     activation: str = "relu"
     init_scale: float = 1.0
     seed: int = 0

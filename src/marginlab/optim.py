@@ -26,10 +26,10 @@ class OptimizerState:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
     @classmethod
-    def for_params(cls, params, lr, momentum=0.9, weight_decay=0.0005):
-        state = cls(lr=lr, momentum=momentum, weight_decay=weight_decay)
-        state.buffers = [np.zeros_like(p) for p in params]
-        return state
+    def for_params(cls, params, lr, **settings):
+        """A state with zeroed buffers for ``params``; ``settings`` are the
+        other fields, which keep their defaults when not given."""
+        return cls(lr, **settings, buffers=[np.zeros_like(p) for p in params])
 
 
 def sgd_step(state: OptimizerState, params, grads):
@@ -57,9 +57,9 @@ def sgd_step(state: OptimizerState, params, grads):
 class TrainingSchedule:
     """Epochs are 1-indexed; the rate divides by decay_factor at each milestone."""
 
-    total_epochs: int
+    total_epochs: int = 30
     lr_initial: float = 0.1
-    milestones: tuple = (16, 24, 28)
+    milestones: tuple[int, ...] = (16, 24, 28)
     decay_factor: float = 10.0
     batch_size: int = 128
 

@@ -102,6 +102,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("line", [
         "loss.s = nan", "dataset.concentration = nan", "schedule.lr_initial = nan",
         "optimizer.momentum = 1.5", "optimizer.momentum = nan", "optimizer.weight_decay = -1",
+        "eval.n_positive_pairs = 0", "eval.n_negative_pairs = 0", "eval.n_distractors = -3",
     ])
     def test_bad_number_exits_before_training(self, tmp_path, capsys, line):
         key = line.split(" ")[0]
@@ -213,13 +214,17 @@ class TestCompareCommand:
 
 
 class TestAnalyzeCommand:
-    def test_reports_written(self, config_path, tmp_path):
+    def test_reports_written(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "run")
         main(["train", "--config", config_path, "--out", out])
         an = str(tmp_path / "an")
+        capsys.readouterr()
         code = main(["analyze", "--checkpoint", os.path.join(out, "checkpoint.txt"),
                      "--out", an])
         assert code in (0, 4)
+        if code == 4:
+            # the scan covers the whole training set: 8 classes x 10 samples
+            assert capsys.readouterr().err.endswith(" rows among the 80 scanned\n")
         if code == 0:
             corr = read(os.path.join(an, "correlation.csv")).decode().splitlines()
             assert corr[0] == "epoch,pearson_r,n_misclassified"
@@ -395,6 +400,19 @@ class TestDimstudyCommand:
                 by_dim.setdefault(dim, []).append((left, right))
             assert set(by_dim) == {"4", "6"}
             assert by_dim["4"] == by_dim["6"]
+
+    def test_collapsed_width_keeps_the_finished_blocks(self, config_path, tmp_path, capsys):
+        # at seed 1 the 10->8->1 net collapses in its first epoch; d=6 and d=4 train
+        out = str(tmp_path / "dim")
+        assert main(["dimstudy", "--config", config_path, "--out", out, "--seed", "1",
+                     "--dims", "6,4,1"]) == 3
+        assert "error: d=1: collapsed embeddings" in capsys.readouterr().err
+        lines = read(os.path.join(out, "dimstudy.csv")).decode().splitlines()
+        assert sorted({line.split(",")[0] for line in lines[1:]}) == ["4", "6"]
+        summary = read_json(os.path.join(out, "dimstudy_summary.json"))
+        assert summary["dims"] == [6, 4, 1]
+        assert summary["diverged"] == ["d=1"]
+        assert list(summary["pairwise_intersection"]) == ["6:4"]
 
     def test_single_dimension_rejected(self, config_path, tmp_path):
         assert main(["dimstudy", "--config", config_path,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from marginlab.config import (
     SCHEMA,
+    EvalConfig,
     build_config,
     parse_config_text,
     variant_values,
@@ -28,6 +29,62 @@ def test_defaults_from_empty_text():
     assert cfg.momentum == 0.9 and cfg.weight_decay == 0.0005
     assert cfg.dataset.n_classes == 200 and cfg.dataset.samples_per_class == 20
     assert cfg.model.layer_widths[-1] == 16
+
+
+# the README's config table; the seeds are derive_seed(0, "dataset" | "model")
+EMPTY_CONFIG_VALUES = {
+    "seed": 0,
+    "output_dir": "runs/experiment",
+    "dataset.n_classes": 200,
+    "dataset.samples_per_class": 20,
+    "dataset.input_dim": 32,
+    "dataset.concentration": 16.0,
+    "dataset.crowding": 0.0,
+    "dataset.min_center_cosine": 0.8,
+    "dataset.seed": 679524067,
+    "model.layer_widths": "32,32,16",
+    "model.activation": "relu",
+    "model.init_scale": 1.0,
+    "model.seed": 3539822255,
+    "loss.variant": "npcface",
+    "loss.s": 64.0,
+    "loss.m": 0.5,
+    "loss.t": 1.1,
+    "loss.alpha": 0.25,
+    "loss.m0": 0.4,
+    "loss.m1": 0.2,
+    "loss.mv_positive": "arc",
+    "schedule.total_epochs": 30,
+    "schedule.lr_initial": 0.1,
+    "schedule.milestones": "16,24,28",
+    "schedule.decay_factor": 10.0,
+    "schedule.batch_size": 128,
+    "optimizer.momentum": 0.9,
+    "optimizer.weight_decay": 0.0005,
+    "eval.samples_per_class": 4,
+    "eval.n_positive_pairs": 500,
+    "eval.n_negative_pairs": 500,
+    "eval.n_distractors": 200,
+    "eval.far_targets": "0.1,0.01",
+    "eval.kfold": 10,
+}
+
+
+def test_every_default_and_the_key_order_pinned():
+    assert list(parse_config_text("").flat_values().items()) == list(EMPTY_CONFIG_VALUES.items())
+
+
+def test_python_built_specs_match_an_empty_config():
+    """A spec built from Python agrees with the config file's defaults,
+    except in the keys derived from other keys (the sub-seeds, the widths)."""
+    cfg = parse_config_text("")
+    assert SyntheticDatasetSpec(seed=cfg.dataset.seed) == cfg.dataset
+    assert ModelSpec(layer_widths=cfg.model.layer_widths, seed=cfg.model.seed) == cfg.model
+    assert LossConfig() == cfg.loss
+    assert TrainingSchedule() == cfg.schedule
+    assert EvalConfig() == cfg.eval
+    optimizer = OptimizerState(lr=cfg.schedule.lr_initial)
+    assert (optimizer.momentum, optimizer.weight_decay) == (cfg.momentum, cfg.weight_decay)
 
 
 def test_values_comments_and_echo():
@@ -202,7 +259,7 @@ INT_KEYS = {
     "seed": (0, 2**40), "dataset.seed": (0, 2**32), "model.seed": (0, 2**32),
     "dataset.n_classes": (2, 5000), "dataset.samples_per_class": (1, 100),
     "schedule.batch_size": (1, 1024), "eval.samples_per_class": (2, 20),
-    "eval.n_positive_pairs": (0, 5000), "eval.n_negative_pairs": (0, 5000),
+    "eval.n_positive_pairs": (1, 5000), "eval.n_negative_pairs": (1, 5000),
     "eval.n_distractors": (0, 500), "eval.kfold": (2, 20),
 }
 

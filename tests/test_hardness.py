@@ -194,9 +194,11 @@ class TestSimilarityDistributions:
     def test_empty_partition_raises(self):
         cos = np.array([[0.9, 0.1], [0.8, 0.0]])
         labels = np.array([0, 0])
-        scan = row_scan([cos.copy()], labels, 0.0)
-        with pytest.raises(EmptyPartition):
-            scan.overlap()
+        # the message names the whole scan, not a batch
+        with pytest.raises(EmptyPartition, match="^no mis-classified rows among the 2 scanned$"):
+            row_scan([cos.copy()], labels, 0.0).overlap()
+        with pytest.raises(EmptyPartition, match="^no well-classified rows among the 2 scanned$"):
+            row_scan([cos.copy()], 1 - labels, 0.0).overlap()
 
     def test_overlap_symmetric_in_groups(self):
         rng = np.random.default_rng(26)
@@ -224,7 +226,7 @@ class TestNearestNegativeHistogram:
         cos = np.array([[0.99, -0.9], [0.95, -0.8]])
         labels = np.array([0, 0])
         scan = row_scan([cos.copy()], labels, 0.0)
-        with pytest.raises(EmptyPartition):
+        with pytest.raises(EmptyPartition, match="^no mis-classified rows among the 2 scanned$"):
             scan.nearest_histogram()
 
 

@@ -56,6 +56,8 @@ def diagnostics_row(diag) -> dict:
         "mean_pos_distance": hr.mean_pos_distance if hr else None,
         "mean_neg_distance": hr.mean_neg_distance if hr else None,
         "overlap_rate": ov.overlap_rate if ov else None,
+        "hardness_note": diag.hardness_note,
+        "overlap_note": diag.overlap_note,
     }
 
 

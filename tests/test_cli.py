@@ -1,12 +1,16 @@
 import json
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
+from marginlab import cli
 from marginlab.cli import main
+from marginlab.config import load_config
 from marginlab.errors import ConfigParseError
-from marginlab.reports import load_checkpoint
+from marginlab.reports import load_checkpoint, write_compare_csv, write_dimstudy_csv
+from marginlab.train import train
 
 SMALL_CONFIG = """
 seed = 3
@@ -68,6 +72,12 @@ class TestTrainCommand:
         assert summary["diverged"] is False
         assert "0.05" in summary["final_metrics"]["tar_at_far"]
         assert len(summary["epochs"]) == 6
+        # every sample is mis-classified after epoch 1, so the overlap is
+        # undefined there and the row says why
+        for row in summary["epochs"][1:]:
+            assert row["overlap_rate"] is None
+            assert row["overlap_note"].startswith("no well-classified rows")
+        assert summary["epochs"][0]["overlap_note"] is None
 
     def test_checkpoint_roundtrip(self, config_path, tmp_path):
         out = str(tmp_path / "run")
@@ -149,6 +159,11 @@ def assert_one_line_config_error(capsys):
     return err
 
 
+@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])
+def usable_cpus(request, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: request.param)
+
+
 class TestCompareCommand:
     def test_identical_variants_identical_rows(self, config_path, tmp_path):
         out = str(tmp_path / "cmp")
@@ -158,6 +173,21 @@ class TestCompareCommand:
         assert lines[0].startswith("variant,tar_at_far_0.2,tar_at_far_0.05,")
         assert len(lines) == 3
         assert lines[1].split(",", 1)[1] == lines[2].split(",", 1)[1]
+        assert multiprocessing.active_children() == []
+
+    def test_rows_match_in_process_training(self, config_path, tmp_path, usable_cpus):
+        tokens = ["arcface", "cosface:m=0.2", "npcface"]
+        out = str(tmp_path / "cmp")
+        assert main(["compare", "--config", config_path, "--out", out,
+                     "--variants", ",".join(tokens)]) == 0
+        experiment = load_config(config_path)
+        rows = []
+        for token in tokens:
+            run = cli._with_token(experiment, token)
+            rows.append((token, cli.final_metrics(train(run), run)))
+        expected = str(tmp_path / "expected.csv")
+        write_compare_csv(expected, experiment.eval.far_targets, rows)
+        assert read(os.path.join(out, "comparison.csv")) == read(expected)
 
     def test_ablation_quartet_shape(self, config_path, tmp_path):
         out = str(tmp_path / "cmp")
@@ -185,6 +215,18 @@ class TestCompareCommand:
             summary = json.load(fh)
         assert summary["diverged"] == ["norm_softmax:s=1e300"]
         assert list(summary["variants"]) == ["cosface", "arcface"]
+        assert multiprocessing.active_children() == []
+
+    def test_insufficient_data_in_a_worker_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "pairs.cfg"
+        path.write_text(SMALL_CONFIG.replace("eval.n_positive_pairs = 30",
+                                             "eval.n_positive_pairs = 100000"), encoding="utf-8")
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "cmp"),
+                     "--variants", "arcface,cosface,npcface"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("insufficient data: requested 100000 positive pairs")
+        assert err.count("\n") == 1
+        assert multiprocessing.active_children() == []
 
     def test_alpha_sweep_rows(self, config_path, tmp_path):
         out = str(tmp_path / "sweep")
@@ -413,6 +455,20 @@ class TestDimstudyCommand:
         assert summary["dims"] == [6, 4, 1]
         assert summary["diverged"] == ["d=1"]
         assert list(summary["pairwise_intersection"]) == ["6:4"]
+        assert multiprocessing.active_children() == []
+
+    def test_blocks_match_in_process_training(self, config_path, tmp_path, usable_cpus):
+        out = str(tmp_path / "dim")
+        assert main(["dimstudy", "--config", config_path, "--out", out,
+                     "--dims", "6,5,4"]) == 0
+        experiment = load_config(config_path)
+        blocks = []
+        for dim in (6, 5, 4):
+            run = experiment.override({"model.layer_widths": (10, 8, dim)})
+            blocks.append(cli._nearest_histogram(train(run), run))
+        expected = str(tmp_path / "expected.csv")
+        write_dimstudy_csv(expected, blocks)
+        assert read(os.path.join(out, "dimstudy.csv")) == read(expected)
 
     def test_single_dimension_rejected(self, config_path, tmp_path):
         assert main(["dimstudy", "--config", config_path,

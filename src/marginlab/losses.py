@@ -16,13 +16,14 @@ are recomputed from the current cosines every iteration but treated as
 constants by every backward pass, so no gradient flows through the mining
 step. ``head_forward`` / ``head_backward`` are the one pipeline from raw
 features and weights to the loss and its gradients; training, the gradient
-checks and ``loss_and_gradients`` all call them, and ``central_difference``
-checks them with the auxiliaries held fixed. Training passes a
-``HeadWorkspace`` so the pipeline's N x C arrays are reused from one
-iteration to the next; every other caller gets fresh arrays.
+checks and ``loss_and_gradients`` all call them. ``central_difference``
+checks them with the auxiliaries held fixed: ``stacked_losses`` runs the
+same logit map, softmax and per-row loss over many perturbed copies of a
+batch in one pass. Training passes a ``HeadWorkspace`` so the pipeline's
+N x C arrays are reused from one iteration to the next; every other caller
+gets fresh arrays.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -37,6 +38,11 @@ from .hardness import collaborative_margin, compute_mask
 PROB_FLOOR = 1e-300
 # central-difference steps the gradient checks accept, both ends inclusive
 EPSILON_RANGE = (1e-7, 1e-4)
+# float64 entries of the largest array one chunk of a gradient check's
+# perturbed copies builds (64 KB). Larger chunks raise the peak RSS of the
+# benchmark's gradcheck workload (128 KB: +0.7 MB, 2 MB: +9 MB) and save
+# at most a fifth of a check's time.
+STACK_ENTRIES = 1 << 13
 # below this sin(theta), the arcface-style derivative factor uses its
 # analytic limit cos(margin) instead of sin(theta + m)/sin(theta)
 SIN_LIMIT = 1e-12
@@ -227,13 +233,17 @@ def softmax_probabilities(logits, out=None) -> np.ndarray:
     return probs
 
 
-def loss_value(probs, labels) -> float:
-    """Mean cross-entropy -log p_y; probabilities floored at 1e-300."""
+def row_losses(probs, labels) -> np.ndarray:
+    """Cross-entropy -log p_y of every row; probabilities floored at 1e-300."""
     probs = np.asarray(probs, dtype=np.float64)
     n, c = probs.shape
     labels = _check_labels(labels, n, c)
-    p_y = np.maximum(probs[np.arange(n), labels], PROB_FLOOR)
-    return float(-np.mean(np.log(p_y)))
+    return -np.log(np.maximum(probs[np.arange(n), labels], PROB_FLOOR))
+
+
+def loss_value(probs, labels) -> float:
+    """Mean cross-entropy over the rows (``row_losses``)."""
+    return float(np.mean(row_losses(probs, labels)))
 
 
 def backward_logits(probs, labels, out=None) -> np.ndarray:
@@ -418,6 +428,36 @@ def loss_and_gradients(raw_features, raw_weights, labels, config: LossConfig,
     return head_backward(*head_forward(raw_features, raw_weights, labels, config, mask, margins))
 
 
+def stacked_losses(cache: HeadCache, features=None, weights=None) -> np.ndarray:
+    """Losses of K copies of the batch in ``cache``, each with its labels
+    and frozen auxiliaries, in one head pass.
+
+    Pass either ``features``, K copies of the raw features stacked as K*N
+    rows (the class weights are the cached ones), or ``weights``, K copies
+    of the raw class weights stacked as K*C rows (the features are the
+    cached ones). Entry k is the loss ``head_forward`` gives for copy k with
+    ``cache.mask`` and ``cache.margins``, bit for bit, provided the stack is
+    laid out in memory like the array it copies: the row norms then sum in
+    the same order.
+    """
+    n, c = cache.cosines.shape
+    if weights is None:
+        cosines = cosine_matrix(normalize_rows(features), cache.weights)
+    else:
+        # one product against all K*C rows, regrouped into K batches of N rows
+        cosines = cosine_matrix(cache.features, normalize_rows(weights))
+        cosines = cosines.reshape(n, -1, c).swapaxes(0, 1).reshape(-1, c)
+    groups = cosines.shape[0] // n
+
+    def tiled(array):
+        return None if array is None else np.concatenate([np.asarray(array)] * groups)
+
+    labels = tiled(cache.labels)
+    logits = forward_logits(cosines, labels, cache.config, tiled(cache.mask), tiled(cache.margins))
+    probs = softmax_probabilities(logits, out=logits)
+    return row_losses(probs, labels).reshape(groups, n).mean(axis=1)
+
+
 def check_epsilon(epsilon: float) -> None:
     """Raise ValueError unless epsilon lies in ``EPSILON_RANGE``."""
     low, high = EPSILON_RANGE
@@ -425,33 +465,59 @@ def check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must lie in [{low:g}, {high:g}], got {epsilon}")
 
 
-def central_difference(loss_fn, tensors, epsilon: float):
-    """Compare analytic gradients with central differences of ``loss_fn()``.
+def _copies(array, count):
+    """``count`` copies of ``array`` concatenated along its first axis and
+    laid out in memory like ``array``: C order, or F order for an F-ordered
+    array."""
+    if array.flags.c_contiguous:
+        return np.concatenate([array] * count)
+    return np.concatenate([array.T] * count, axis=-1).T
 
-    ``tensors`` lists (name, array, analytic gradient); every coordinate of
-    every array is perturbed in place by +-epsilon and restored, so
-    ``loss_fn`` must read the arrays themselves. The relative error of a
-    coordinate is |analytic - numeric| / max(|analytic|, |numeric|, 1e-12);
-    a NaN error (a non-finite loss) is the worst possible and ends the scan.
-    Returns (max_relative_error, "name[index]" of the worst coordinate).
-    Raises ValueError when epsilon lies outside ``EPSILON_RANGE``.
+
+def central_difference(tensors, epsilon: float, copy_entries: int):
+    """Compare analytic gradients with central differences of the loss.
+
+    ``tensors`` lists (name, array, analytic gradient, losses). Each
+    coordinate of ``array``, in index order, gets a copy of the array moved
+    by +epsilon there and one moved by -epsilon. The copies of a chunk of
+    coordinates are concatenated along the first axis (the +epsilon copies,
+    then the -epsilon ones), laid out like ``array``, and ``losses(stack)``
+    returns the loss of every copy. A chunk is sized so that no array with
+    ``copy_entries`` entries per copy exceeds ``STACK_ENTRIES`` entries.
+
+    The relative error of a coordinate is
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-12); the worst is
+    the first coordinate with the largest error, and a NaN error (a
+    non-finite loss) is the worst possible and ends the scan. Returns
+    (max_relative_error, "name[index]" of the worst coordinate). Raises
+    ValueError when epsilon lies outside ``EPSILON_RANGE``.
     """
     check_epsilon(epsilon)
+    per_chunk = max(1, STACK_ENTRIES // (2 * copy_entries))
     worst, worst_name = 0.0, ""
-    for name, array, analytic in tensors:
-        for idx in np.ndindex(array.shape):
-            saved = array[idx]
-            array[idx] = saved + epsilon
-            up = loss_fn()
-            array[idx] = saved - epsilon
-            down = loss_fn()
-            array[idx] = saved
-            numeric = (up - down) / (2.0 * epsilon)
-            err = abs(analytic[idx] - numeric) / max(abs(analytic[idx]), abs(numeric), 1e-12)
-            if math.isnan(err):
-                return err, f"{name}[{idx}]"
-            if err > worst:
-                worst, worst_name = err, f"{name}[{idx}]"
+    for name, array, analytic, losses in tensors:
+        analytic = np.ravel(analytic)        # index order, like the coordinates
+        rows = array.shape[0]
+        for start in range(0, array.size, per_chunk):
+            flat = np.arange(start, min(start + per_chunk, array.size))
+            k = flat.size
+            idx = np.unravel_index(flat, array.shape)
+            stack = _copies(array, 2 * k)
+            first_row = np.arange(k) * rows + idx[0]
+            stack[(first_row,) + idx[1:]] = array[idx] + epsilon
+            stack[(first_row + k * rows,) + idx[1:]] = array[idx] - epsilon
+            loss = losses(stack)
+            numeric = (loss[:k] - loss[k:]) / (2.0 * epsilon)
+            exact = analytic[flat]
+            err = np.abs(exact - numeric) / np.maximum(
+                np.maximum(np.abs(exact), np.abs(numeric)), 1e-12)
+            nan = np.flatnonzero(np.isnan(err))
+            pick = nan[0] if nan.size else np.argmax(err)
+            if nan.size or err[pick] > worst:
+                where = tuple(int(i) for i in np.unravel_index(flat[pick], array.shape))
+                worst, worst_name = float(err[pick]), f"{name}[{where}]"
+            if nan.size:
+                return worst, worst_name
     return worst, worst_name
 
 
@@ -468,9 +534,11 @@ def finite_difference_check(features, weights, labels, config: LossConfig,
     weights = np.array(weights, dtype=np.float64)
     loss, cache = head_forward(features, weights, labels, config)
     bundle = head_backward(loss, cache)
-
-    def loss_fn():
-        return head_forward(features, weights, labels, config, cache.mask, cache.margins)[0]
-
-    tensors = [("features", features, bundle.d_features), ("weights", weights, bundle.d_weights)]
-    return central_difference(loss_fn, tensors, epsilon)[0]
+    tensors = [
+        ("features", features, bundle.d_features,
+         lambda stack: stacked_losses(cache, features=stack)),
+        ("weights", weights, bundle.d_weights,
+         lambda stack: stacked_losses(cache, weights=stack)),
+    ]
+    (n, d), c = features.shape, weights.shape[0]
+    return central_difference(tensors, epsilon, max(n * c, n * d, c * d))[0]

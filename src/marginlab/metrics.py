@@ -86,18 +86,21 @@ def build_pairs(labels, n_positive: int, n_negative: int, seed: int) -> PairSet:
     rng = named_rng(seed, "pairs")
     pos_pick = positives[rng.permutation(len(positives))[:n_positive]]
 
-    seen = set()
-    neg_pick = []
+    # Rejection sampling of cross-class pairs, each kept at most once. A
+    # block of draws is the stream of one scalar draw per endpoint (a, b, a,
+    # b, ...); its pairs are accepted in draw order, as a draw-by-draw loop
+    # would accept them. The rng is not used after the last pair is kept.
+    neg_pick = np.empty((0, 2), dtype=np.intp)
     while len(neg_pick) < n_negative:
-        a, b = int(rng.integers(n)), int(rng.integers(n))
-        if a == b or labels[a] == labels[b]:
-            continue
-        key = (a, b) if a < b else (b, a)
-        if key in seen:
-            continue
-        seen.add(key)
-        neg_pick.append(key)
-    neg_pick = np.array(neg_pick)
+        draws = rng.integers(n, size=(n_negative - len(neg_pick), 2))
+        draws = draws[labels[draws[:, 0]] != labels[draws[:, 1]]]
+        draws.sort(axis=1)
+        keys = draws[:, 0] * n + draws[:, 1]
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        fresh = first[~np.isin(keys[first], neg_pick[:, 0] * n + neg_pick[:, 1])]
+        neg_pick = np.concatenate([neg_pick, draws[fresh]])
+    neg_pick = neg_pick[:n_negative]
 
     index_a = np.concatenate([pos_pick[:, 0], neg_pick[:, 0]])
     index_b = np.concatenate([pos_pick[:, 1], neg_pick[:, 1]])

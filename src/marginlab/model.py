@@ -98,13 +98,29 @@ class EmbeddingNet:
         activations = [x]
         pre = []
         for i in range(self.n_layers):
-            z = activations[-1] @ self.weights[i] + self.biases[i]
+            z, a = self._layer(i, activations[-1], self.weights[i], self.biases[i])
             pre.append(z)
-            if i < self.n_layers - 1:
-                activations.append(self._activate(z))
-            else:
-                activations.append(z)  # final layer stays linear
+            activations.append(a)
         return activations[-1], {"activations": activations, "pre": pre}
+
+    def _layer(self, i, x, weight, bias):
+        """Pre-activation and output of layer ``i`` with the given parameters."""
+        z = x @ weight + bias
+        return z, (self._activate(z) if i < self.n_layers - 1 else z)  # the last stays linear
+
+    def forward_from(self, layer: int, x, weight, bias):
+        """Embeddings of ``x``, the input of layer ``layer`` (an activation
+        from ``forward``'s cache), passed through ``weight``/``bias`` in place
+        of that layer's parameters and then through the layers after it.
+
+        A stack of K weights (K, fan_in, fan_out), or of K biases
+        (K, 1, fan_out), gives K stacked embedding batches (K, n, d): matmul
+        broadcasts, so each slice takes the operations ``forward`` would.
+        """
+        _, a = self._layer(layer, x, weight, bias)
+        for i in range(layer + 1, self.n_layers):
+            _, a = self._layer(i, a, self.weights[i], self.biases[i])
+        return a
 
     def backward(self, cache, d_embeddings):
         """Gradients for every parameter, ordered like ``params``."""

@@ -166,7 +166,9 @@ def end_to_end_check(model: EmbeddingNet, class_weights, inputs, labels,
     over every model parameter and classifier row.
 
     The mask and collaborative margins are frozen from the unperturbed
-    forward pass. Returns (max_relative_error, worst_coordinate_name).
+    forward pass. The perturbed copies of a parameter run stacked through
+    its layer and the ones after it, from the activations ``forward``
+    cached. Returns (max_relative_error, worst_coordinate_name).
     ``corrupt_first_gradient`` is a negative-control hook: it biases one
     analytic entry so a working checker must report a failure.
     """
@@ -181,12 +183,27 @@ def end_to_end_check(model: EmbeddingNet, class_weights, inputs, labels,
         param_grads[0] = param_grads[0].copy()
         param_grads[0].flat[0] += corrupt_first_gradient
 
-    def loss_now():
-        emb_now, _ = model.forward(inputs)
-        return losses.head_forward(emb_now, class_weights, labels, config,
-                                   head.mask, head.margins)[0]
+    n, d = emb.shape
+    activations = cache["activations"]
 
-    names = [f"layer{i}.{kind}" for i in range(model.n_layers) for kind in ("weight", "bias")]
-    tensors = list(zip(names, model.params, param_grads))
-    tensors.append(("class_weights", class_weights, bundle.d_weights))
-    return losses.central_difference(loss_now, tensors, epsilon)
+    def layer_losses(i, kind):
+        def losses_of(stack):
+            weight, bias = model.weights[i], model.biases[i]
+            if kind == "weight":
+                weight = stack.reshape(-1, *weight.shape)
+            else:
+                bias = stack.reshape(-1, 1, bias.size)
+            stacked = model.forward_from(i, activations[i], weight, bias)
+            return losses.stacked_losses(head, features=stacked.reshape(-1, d))
+        return losses_of
+
+    layers = [(i, kind) for i in range(model.n_layers) for kind in ("weight", "bias")]
+    tensors = [(f"layer{i}.{kind}", param, grad, layer_losses(i, kind))
+               for (i, kind), param, grad in zip(layers, model.params, param_grads)]
+    tensors.append(("class_weights", class_weights, bundle.d_weights,
+                    lambda stack: losses.stacked_losses(head, weights=stack)))
+    # per copy: the tensor itself, its activations (N x width), the cosines
+    c = class_weights.shape[0]
+    copy_entries = max(max(p.size for p in model.params), c * d,
+                       n * max(c, *model.spec.layer_widths))
+    return losses.central_difference(tensors, epsilon, copy_entries)

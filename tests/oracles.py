@@ -3,9 +3,16 @@
 Everything here is intentionally written with plain Python floats, explicit
 loops and the math module: no numpy, no shared code with the package. These
 are the oracles the vectorized implementations are checked against.
+
+The exception is the sequential gradient check at the end: it drives the
+package's own forward passes one perturbation at a time, in place, so the
+stacked evaluation of the package's checks can be held to it bit for bit.
 """
 
+import itertools
 import math
+
+from marginlab import losses
 
 
 def scalar_normalize(vector):
@@ -198,3 +205,67 @@ def loop_build_pairs(labels, n_positive, n_negative, rng):
     pairs = picked + negatives
     return ([a for a, _ in pairs], [b for _, b in pairs],
             [True] * n_positive + [False] * n_negative)
+
+
+def sequential_central_difference(loss_fn, tensors, epsilon):
+    """Central differences one coordinate at a time: each coordinate of each
+    array in ``tensors`` (name, array, analytic gradient) is moved in place
+    by +-epsilon and restored, and ``loss_fn()`` reads the arrays. Same error
+    formula, worst-coordinate rule and NaN rule as the package's check."""
+    worst, worst_name = 0.0, ""
+    for name, array, analytic in tensors:
+        for idx in itertools.product(*map(range, array.shape)):
+            saved = array[idx]
+            array[idx] = saved + epsilon
+            up = loss_fn()
+            array[idx] = saved - epsilon
+            down = loss_fn()
+            array[idx] = saved
+            numeric = (up - down) / (2.0 * epsilon)
+            err = abs(analytic[idx] - numeric) / max(abs(analytic[idx]), abs(numeric), 1e-12)
+            if math.isnan(err):
+                return err, f"{name}[{idx}]"
+            if err > worst:
+                worst, worst_name = err, f"{name}[{idx}]"
+    return worst, worst_name
+
+
+def sequential_end_to_end_check(model, class_weights, inputs, labels, config,
+                                epsilon=1e-5, corrupt_first_gradient=0.0):
+    """``train.end_to_end_check`` with one model + head evaluation per
+    perturbation; returns (max_relative_error, worst_coordinate_name)."""
+    inputs = inputs.astype("float64")
+    class_weights = class_weights.astype("float64")      # keeps the memory layout
+    emb, cache = model.forward(inputs)
+    loss, head = losses.head_forward(emb, class_weights, labels, config)
+    bundle = losses.head_backward(loss, head)
+    param_grads = model.backward(cache, bundle.d_features)
+    if corrupt_first_gradient:
+        param_grads[0] = param_grads[0].copy()
+        param_grads[0].flat[0] += corrupt_first_gradient
+
+    def loss_now():
+        emb_now, _ = model.forward(inputs)
+        return losses.head_forward(emb_now, class_weights, labels, config,
+                                   head.mask, head.margins)[0]
+
+    names = [f"layer{i}.{kind}" for i in range(model.n_layers) for kind in ("weight", "bias")]
+    tensors = list(zip(names, model.params, param_grads))
+    tensors.append(("class_weights", class_weights, bundle.d_weights))
+    return sequential_central_difference(loss_now, tensors, epsilon)
+
+
+def sequential_finite_difference_check(features, weights, labels, config, epsilon=1e-5):
+    """``losses.finite_difference_check`` with one head evaluation per
+    perturbation; returns (max_relative_error, worst_coordinate_name)."""
+    features = features.astype("float64")
+    weights = weights.astype("float64")
+    loss, cache = losses.head_forward(features, weights, labels, config)
+    bundle = losses.head_backward(loss, cache)
+
+    def loss_now():
+        return losses.head_forward(features, weights, labels, config,
+                                   cache.mask, cache.margins)[0]
+
+    tensors = [("features", features, bundle.d_features), ("weights", weights, bundle.d_weights)]
+    return sequential_central_difference(loss_now, tensors, epsilon)

@@ -464,8 +464,9 @@ class TestFiniteDifferenceCheck:
     def test_nan_error_is_the_worst(self):
         # a NaN loss makes every coordinate's error NaN; the check must fail
         array = np.zeros(3)
-        err, worst = central_difference(lambda: float("nan"),
-                                        [("a", array, np.ones(3))], 1e-5)
+        err, worst = central_difference(
+            [("a", array, np.ones(3), lambda stack: np.full(stack.size // 3, np.nan))],
+            1e-5, 3)
         assert math.isnan(err)
         assert worst == "a[(0,)]"
         assert not err < 1e-5

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from marginlab.config import build_config
+from marginlab.data import evaluation_split
 from marginlab.errors import (
     AllRejected,
     DegenerateInput,
@@ -76,6 +78,27 @@ class TestBuildPairs:
         assert pairs.index_a.tolist() == index_a
         assert pairs.index_b.tolist() == index_b
         assert pairs.is_same.tolist() == is_same
+
+    @pytest.mark.parametrize("eval_values", [
+        {"dataset.n_classes": 100, "eval.samples_per_class": 10,           # crowded task
+         "eval.n_positive_pairs": 2500, "eval.n_negative_pairs": 8000},
+        {},                                                                # shipped defaults
+    ], ids=["crowded", "default"])
+    def test_block_draws_match_the_draw_by_draw_loop(self, eval_values):
+        # every TAR depends on these draws: the negatives drawn in blocks must
+        # be the pairs, in the order, that one scalar draw per endpoint gives
+        experiment = build_config(eval_values)
+        ev = experiment.eval
+        labels = evaluation_split(experiment.dataset, ev.samples_per_class,
+                                  ev.n_distractors, experiment.eval_seed).labels
+        for seed in range(40):
+            pairs = build_pairs(labels, ev.n_positive_pairs, ev.n_negative_pairs, seed)
+            index_a, index_b, is_same = loop_build_pairs(
+                labels.tolist(), ev.n_positive_pairs, ev.n_negative_pairs,
+                named_rng(seed, "pairs"))
+            assert pairs.index_a.tolist() == index_a
+            assert pairs.index_b.tolist() == index_b
+            assert pairs.is_same.tolist() == is_same
 
     def test_pair_scores_are_cosines(self):
         rng = np.random.default_rng(0)

@@ -211,6 +211,8 @@ def cmd_compare(args) -> int:
 def cmd_analyze(args) -> int:
     if args.bins < 2:
         raise ConfigParseError(f"--bins must be >= 2, got {args.bins}")
+    if args.m0 is not None and not 0 <= args.m0 < math.pi:
+        raise ConfigParseError(f"--m0 must lie in [0, pi), got {args.m0}")
     experiment, model, class_weights, epochs_trained = reports.load_checkpoint(args.checkpoint)
     if args.config:
         experiment = load_config(args.config)

@@ -11,7 +11,11 @@ class MarginLabError(Exception):
 
 
 class ZeroNorm(MarginLabError):
-    """A vector with (near-)zero Euclidean norm cannot be normalized."""
+    """A vector (matrix row ``row``, when given) with (near-)zero norm cannot be normalized."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class DimensionMismatch(MarginLabError):

@@ -32,7 +32,7 @@ def normalize_rows(m, eps: float = DEFAULT_EPS) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1)
     if np.any(norms < eps):
         bad = int(np.argmin(norms))
-        raise ZeroNorm(f"row {bad} has norm {norms[bad]:.3e} below eps={eps:.1e}")
+        raise ZeroNorm(f"row {bad} has norm {norms[bad]:.3e} below eps={eps:.1e}", bad)
     return m / norms[:, None]
 
 

@@ -49,19 +49,18 @@ class DistributionOverlap:
     bin_edges: np.ndarray
 
 
-def compute_mask(cosines, labels, m0: float, out=None) -> np.ndarray:
+def compute_mask(cosines, labels, m0: float) -> np.ndarray:
     """Binary N x C mask: entry (i, j) marks sample i as hard to class j.
 
     M_ij = 1 iff j != y_i and cos(theta_ij) > cos(theta_iy + m0). The label
     column is always zero. m0 = 0 reduces to plain mis-classification.
-    Written into the bool array ``out`` when given, else a fresh array.
     """
     cosines = np.asarray(cosines, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
     n = cosines.shape[0]
     rows = np.arange(n)
     threshold = cos_shifted(cosines[rows, labels], m0)
-    mask = np.greater(cosines, np.asarray(threshold).reshape(n, 1), out=out)
+    mask = cosines > np.asarray(threshold).reshape(n, 1)
     mask[rows, labels] = False
     return mask
 

@@ -19,9 +19,7 @@ features and weights to the loss and its gradients; training, the gradient
 checks and ``loss_and_gradients`` all call them. ``central_difference``
 checks them with the auxiliaries held fixed: ``stacked_losses`` runs the
 same logit map, softmax and per-row loss over many perturbed copies of a
-batch in one pass. Training passes a ``HeadWorkspace`` so the pipeline's
-N x C arrays are reused from one iteration to the next; every other caller
-gets fresh arrays.
+batch in one pass. The head returns fresh arrays on every call.
 """
 
 from dataclasses import dataclass
@@ -190,9 +188,8 @@ def _put_hard(target, mask, source, hard_map):
         np.putmask(target, mask, hard_map(source))
 
 
-def forward_logits(cosines, labels, config: LossConfig, mask=None, margins=None,
-                   out=None) -> np.ndarray:
-    """Margined logit matrix for one batch, written into ``out`` when given.
+def forward_logits(cosines, labels, config: LossConfig, mask=None, margins=None) -> np.ndarray:
+    """Margined logit matrix for one batch.
 
     ``mask`` (N x C binary, zero on the label column) and ``margins``
     (length N) are consulted only by mv_softmax / npcface; the other
@@ -205,7 +202,7 @@ def forward_logits(cosines, labels, config: LossConfig, mask=None, margins=None,
     rule = config._rule
     rule.require(config, mask, margins)
 
-    logits = np.multiply(config.s, cosines, out=out)
+    logits = config.s * cosines
     if rule.mines:
         _put_hard(logits, mask, cosines,
                   lambda hard_cos: config.s * (config.t * hard_cos + rule.hard_offset))
@@ -246,18 +243,17 @@ def loss_value(probs, labels) -> float:
     return float(np.mean(row_losses(probs, labels)))
 
 
-def backward_logits(probs, labels, out=None) -> np.ndarray:
+def backward_logits(probs, labels) -> np.ndarray:
     """Gradient of the mean cross-entropy with respect to the logits.
 
     Entry (i, k) = (p_ik - [k == y_i]) / N, so every row sums to zero.
-    Written into ``out`` when given.
     """
     probs = np.asarray(probs, dtype=np.float64)
     n, c = probs.shape
     labels = _check_labels(labels, n, c)
     rows = np.arange(n)
     p_y = probs[rows, labels]
-    grad = np.divide(probs, n, out=out)
+    grad = probs / n
     grad[rows, labels] = (p_y - 1.0) / n
     return grad
 
@@ -277,10 +273,9 @@ def _arc_positive_factor(pos_cos, m_pos, s):
     return np.where(pos_cos < np.cos(np.pi - m_pos), 0.0, factor)
 
 
-def backward_cosines(d_logits, cosines, labels, config: LossConfig, mask=None, margins=None,
-                     out=None) -> np.ndarray:
-    """Chain ``d_logits`` through the margined logit map: returns dL/dcos,
-    written into ``out`` when given.
+def backward_cosines(d_logits, cosines, labels, config: LossConfig, mask=None,
+                     margins=None) -> np.ndarray:
+    """Chain ``d_logits`` through the margined logit map: returns dL/dcos.
 
     The mask and the collaborative margins must be the same frozen arrays
     that produced the matching forward logits.
@@ -296,7 +291,7 @@ def backward_cosines(d_logits, cosines, labels, config: LossConfig, mask=None, m
     rule = config._rule
     rule.require(config, mask, margins)
 
-    d_cosines = np.multiply(d_logits, config.s, out=out)
+    d_cosines = d_logits * config.s
     if rule.mines:
         _put_hard(d_cosines, mask, d_logits,
                   lambda hard_d: hard_d * (config.s * config.t))
@@ -331,38 +326,16 @@ def backward_parameters(d_cosines, cache: "HeadCache"):
     return d_features, d_weights
 
 
-class HeadWorkspace(NamedTuple):
-    """The N x C arrays of one head pass, sized by ``allocate(n, c)`` for
-    batches of up to n rows; each pass overwrites the arrays of the last.
-    The default, every field None, makes each stage return fresh arrays."""
-
-    cosines: np.ndarray | None = None
-    mask: np.ndarray | None = None
-    logits: np.ndarray | None = None       # softmax probabilities, in place
-    d_logits: np.ndarray | None = None
-    d_cosines: np.ndarray | None = None
-
-    @classmethod
-    def allocate(cls, n: int, c: int) -> "HeadWorkspace":
-        return cls(*(np.empty((n, c), dtype=bool if name == "mask" else np.float64)
-                     for name in cls._fields))
-
-    def rows(self, n: int) -> "HeadWorkspace":
-        """The same arrays cut to their first n rows (a short last batch)."""
-        return self if self.cosines is None else HeadWorkspace(*(a[:n] for a in self))
-
-
-def frozen_auxiliaries(cosines, labels, config: LossConfig, workspace=HeadWorkspace()):
+def frozen_auxiliaries(cosines, labels, config: LossConfig):
     """Mask and collaborative margins for the variants that need them.
 
     Returns (None, None) for the plain variants, so the result can be fed
-    straight into the forward/backward calls. The mask goes into
-    ``workspace.mask`` when the workspace has one.
+    straight into the forward/backward calls.
     """
     rule = config._rule
     if not rule.mines:
         return None, None
-    mask = compute_mask(cosines, labels, config.m0, out=workspace.mask)
+    mask = compute_mask(cosines, labels, config.m0)
     if rule.collaborative:
         margins = collaborative_margin(cosines, mask, config.m0, config.m1)
     else:
@@ -373,8 +346,7 @@ def frozen_auxiliaries(cosines, labels, config: LossConfig, workspace=HeadWorksp
 @dataclass
 class HeadCache:
     """What ``head_backward`` reads from the forward pass: the raw inputs and
-    their unit rows, the cosines, the frozen auxiliaries, the softmax
-    probabilities and the workspace rows the backward pass writes into."""
+    their unit rows, the cosines, the frozen auxiliaries and the softmax probabilities."""
 
     raw_features: np.ndarray
     raw_weights: np.ndarray
@@ -386,37 +358,32 @@ class HeadCache:
     mask: np.ndarray | None
     margins: np.ndarray | None
     probs: np.ndarray
-    workspace: HeadWorkspace = HeadWorkspace()
 
 
-def head_forward(raw_features, raw_weights, labels, config: LossConfig,
-                 mask=None, margins=None, workspace: HeadWorkspace = HeadWorkspace()):
+def head_forward(raw_features, raw_weights, labels, config: LossConfig, mask=None, margins=None):
     """Batch loss from raw features and weights: returns (loss, HeadCache).
 
     When ``mask``/``margins`` are omitted they are mined from the current
     cosines (the per-iteration semantics); pass the cached arrays to keep
-    them frozen across evaluations, e.g. for finite differences. Every N x C
-    array of this pass and of ``head_backward`` lives in ``workspace``.
+    them frozen across evaluations, e.g. for finite differences.
     """
     features, weights = normalize_rows(raw_features), normalize_rows(raw_weights)
-    ws = workspace.rows(features.shape[0])
-    cosines = cosine_matrix(features, weights, out=ws.cosines)
+    cosines = cosine_matrix(features, weights)
     if mask is None and config._rule.mines:
-        mask, margins = frozen_auxiliaries(cosines, labels, config, ws)
-    logits = forward_logits(cosines, labels, config, mask, margins, out=ws.logits)
+        mask, margins = frozen_auxiliaries(cosines, labels, config)
+    logits = forward_logits(cosines, labels, config, mask, margins)
     probs = softmax_probabilities(logits, out=logits)
     loss = loss_value(probs, labels)
     cache = HeadCache(raw_features, raw_weights, features, weights, labels, config,
-                      cosines, mask, margins, probs, ws)
+                      cosines, mask, margins, probs)
     return loss, cache
 
 
 def head_backward(loss: float, cache: HeadCache) -> GradientBundle:
     """Gradients of ``loss`` at every stage, with the cached auxiliaries frozen."""
-    ws = cache.workspace
-    d_logits = backward_logits(cache.probs, cache.labels, out=ws.d_logits)
+    d_logits = backward_logits(cache.probs, cache.labels)
     d_cosines = backward_cosines(d_logits, cache.cosines, cache.labels, cache.config,
-                                 cache.mask, cache.margins, out=ws.d_cosines)
+                                 cache.mask, cache.margins)
     d_features, d_weights = backward_parameters(d_cosines, cache)
     return GradientBundle(loss, d_logits, d_cosines, d_features, d_weights)
 

@@ -96,17 +96,14 @@ class EmbeddingNet:
                 f"batch shape {x.shape}, expected (*, {self.spec.input_dim})"
             )
         activations = [x]
-        pre = []
         for i in range(self.n_layers):
-            z, a = self._layer(i, activations[-1], self.weights[i], self.biases[i])
-            pre.append(z)
-            activations.append(a)
-        return activations[-1], {"activations": activations, "pre": pre}
+            activations.append(self._layer(i, activations[-1], self.weights[i], self.biases[i]))
+        return activations[-1], {"activations": activations}
 
     def _layer(self, i, x, weight, bias):
-        """Pre-activation and output of layer ``i`` with the given parameters."""
+        """Output of layer ``i`` with the given parameters."""
         z = x @ weight + bias
-        return z, (self._activate(z) if i < self.n_layers - 1 else z)  # the last stays linear
+        return self._activate(z) if i < self.n_layers - 1 else z  # the last stays linear
 
     def forward_from(self, layer: int, x, weight, bias):
         """Embeddings of ``x``, the input of layer ``layer`` (an activation
@@ -117,15 +114,15 @@ class EmbeddingNet:
         (K, 1, fan_out), gives K stacked embedding batches (K, n, d): matmul
         broadcasts, so each slice takes the operations ``forward`` would.
         """
-        _, a = self._layer(layer, x, weight, bias)
+        a = self._layer(layer, x, weight, bias)
         for i in range(layer + 1, self.n_layers):
-            _, a = self._layer(i, a, self.weights[i], self.biases[i])
+            a = self._layer(i, a, self.weights[i], self.biases[i])
         return a
 
     def backward(self, cache, d_embeddings):
         """Gradients for every parameter, ordered like ``params``."""
-        activations, pre = cache["activations"], cache["pre"]
-        if len(activations) != self.n_layers + 1 or len(pre) != self.n_layers:
+        activations = cache["activations"]
+        if len(activations) != self.n_layers + 1:
             raise StaleCache("cache does not match the model depth")
         d_embeddings = np.asarray(d_embeddings, dtype=np.float64)
         if d_embeddings.shape != activations[-1].shape:
@@ -141,11 +138,12 @@ class EmbeddingNet:
             grads[2 * i] = activations[i].T @ delta
             grads[2 * i + 1] = delta.sum(axis=0)
             if i > 0:
+                # the derivative from the layer output: relu(z) > 0 iff z > 0, tanh' = 1 - tanh^2
                 delta = delta @ self.weights[i].T
                 if self.spec.activation == "relu":
-                    delta = delta * (pre[i - 1] > 0.0)
+                    delta = delta * (activations[i] > 0.0)
                 else:
-                    delta = delta * (1.0 - np.tanh(pre[i - 1]) ** 2)
+                    delta = delta * (1.0 - activations[i] ** 2)
         return grads
 
 

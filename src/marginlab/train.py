@@ -5,8 +5,8 @@ including the classifier rows.
 Each iteration re-mines the hard mask and the collaborative margins from the
 current cosines, then treats them as constants for the backward pass. Class
 weights are stored raw and normalized only inside the cosine computation.
-The loss head's N x C arrays live in one ``losses.HeadWorkspace`` for the
-whole run.
+Each iteration runs ``losses.head_forward`` and ``losses.head_backward``,
+the same head pipeline the gradient checks test.
 """
 
 import math
@@ -121,8 +121,6 @@ def train(experiment) -> TrainResult:
         momentum=experiment.momentum, weight_decay=experiment.weight_decay,
     )
 
-    workspace = losses.HeadWorkspace.allocate(min(schedule.batch_size, len(labels)),
-                                              experiment.n_classes)
     log = TrainingLog()
     iteration = 0
     try:
@@ -134,8 +132,14 @@ def train(experiment) -> TrainResult:
                 batch, batch_labels = inputs[idx], labels[idx]
 
                 emb, cache = model.forward(batch)
-                loss, head = losses.head_forward(emb, class_weights, batch_labels, config,
-                                                 workspace=workspace)
+                try:
+                    loss, head = losses.head_forward(emb, class_weights, batch_labels, config)
+                except ZeroNorm as exc:
+                    # a batch row that embeds to exact zeros because no hidden unit fires
+                    if (model.n_layers > 1 and exc.row < len(emb) and not emb[exc.row].any()
+                            and not cache["activations"][-2][exc.row].any()):
+                        exc.args = (f"{exc}; its input has no active hidden unit",)
+                    raise
 
                 iteration += 1
                 log.iterations.append((iteration, epoch, loss))

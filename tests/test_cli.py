@@ -145,11 +145,27 @@ class TestTrainCommand:
         path.write_text(SMALL_CONFIG + "model.init_scale = 1e-9\n", encoding="utf-8")
         out = str(tmp_path / "run")
         assert main(["train", "--config", str(path), "--out", out]) == 3
-        assert "collapsed embeddings" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "collapsed embeddings" in err
+        # every hidden unit fires a little; the embeddings are merely tiny
+        assert "hidden unit" not in err
         for name in ("loss.csv", "diagnostics.csv"):
             assert os.path.exists(os.path.join(out, name))
         with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
             assert json.load(fh)["diverged"] is True
+
+    def test_first_iteration_collapse_names_the_dead_input(self, config_path, tmp_path, capsys):
+        # at seed 5, training row 9 of the first batch has no positive hidden
+        # pre-activation, so with zero initial biases it embeds to exact zeros
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", config_path, "--out", out, "--seed", "5"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "after iteration 0 (epoch 1): row 9 has norm 0.000e+00 below eps=1.0e-12; " \
+            "its input has no active hidden unit" in err
+        for name in ("loss.csv", "diagnostics.csv"):
+            assert os.path.exists(os.path.join(out, name))
+        assert read_json(os.path.join(out, "summary.json"))["diverged"] is True
 
 
 def assert_one_line_config_error(capsys):
@@ -292,6 +308,15 @@ class TestAnalyzeCommand:
         if len(results) == 2:
             # a wider mask margin can only mark more rows as hard
             assert results["0.6"] >= results["0.0"]
+
+    @pytest.mark.parametrize("m0", ["-0.5", "nan", "inf", "4"])
+    def test_m0_outside_its_range_rejected(self, tmp_path, capsys, m0):
+        # rejected before the checkpoint is read or the output dir is made
+        an = tmp_path / "an"
+        assert main(["analyze", "--checkpoint", str(tmp_path / "none.txt"),
+                     "--out", str(an), "--m0", m0]) == 2
+        assert "--m0 must lie in [0, pi)" in assert_one_line_config_error(capsys)
+        assert not an.exists()
 
     def test_single_bin_rejected(self, tmp_path, capsys):
         # rejected before the checkpoint is read

@@ -1,5 +1,6 @@
 """The gradient checks' stacked evaluation: equal, bit for bit, to one model
-+ head evaluation per perturbation, and callable under the layer tracer.
++ head evaluation per perturbation, and callable under the layer tracer, as
+the training loop is.
 
 ``benchmarks/tracer.py`` wraps the geometry, hardness and loss-head stage
 functions and reads their first positional argument as a 2-D array (the
@@ -15,10 +16,11 @@ import pytest
 
 from marginlab import geometry, hardness, losses
 from marginlab.cli import _parse_shape
+from marginlab.config import build_config
 from marginlab.losses import LossConfig, Variant, central_difference, finite_difference_check
 from marginlab.model import EmbeddingNet, ModelSpec, init_class_weights
 from marginlab.seeds import named_rng
-from marginlab.train import end_to_end_check
+from marginlab.train import end_to_end_check, train
 from oracles import (
     sequential_central_difference,
     sequential_end_to_end_check,
@@ -177,3 +179,19 @@ def test_checks_keep_the_tracer_contract(variant, stage_calls):
         assert stage_calls[name] > 0, name
     if variant in losses.MASKED_VARIANTS:
         assert stage_calls["compute_mask"] > 0
+
+
+@pytest.mark.parametrize("variant", [Variant.NPCFACE, Variant.COSFACE])
+def test_training_keeps_the_tracer_contract(variant, stage_calls):
+    # 40 samples in batches of 16: two full batches and a short one per epoch
+    train(build_config({
+        "dataset.n_classes": 8, "dataset.samples_per_class": 5, "dataset.input_dim": 6,
+        "model.layer_widths": (6, 5, 4), "loss.variant": variant, "loss.s": 12.0,
+        "schedule.total_epochs": 2, "schedule.milestones": (), "schedule.batch_size": 16,
+    }))
+    for name in ("normalize_rows", "cosine_matrix", "forward_logits", "softmax_probabilities",
+                 "loss_value", "backward_logits", "backward_cosines", "backward_parameters"):
+        assert stage_calls[name] > 0, name
+    masked = variant in losses.MASKED_VARIANTS
+    assert (stage_calls["compute_mask"] > 0) == masked
+    assert (stage_calls["frozen_auxiliaries"] > 0) == masked

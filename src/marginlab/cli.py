@@ -9,6 +9,7 @@ collapsed embeddings), 4 insufficient data, 5 gradient check failure.
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -42,7 +43,8 @@ GRADCHECK_THRESHOLD = 1e-5
 
 
 def final_metrics(result, experiment: ExperimentConfig) -> dict:
-    """Verification + identification metrics on the held-out split."""
+    """Verification + identification metrics on the held-out split, then
+    the last epoch's; the keys are ``tar_at_far``, then ``reports.COMPARE_METRICS``."""
     ev = experiment.eval
     split = evaluation_split(experiment.dataset, ev.samples_per_class,
                              ev.n_distractors, experiment.eval_seed)
@@ -54,10 +56,7 @@ def final_metrics(result, experiment: ExperimentConfig) -> dict:
     tars = {f"{t:g}": metrics.tar_at_far(curve, t) for t in ev.far_targets}
     pair_acc = metrics.kfold_threshold_accuracy(scores, pairs.is_same,
                                                 ev.kfold, experiment.folds_seed)
-    if split.distractor_inputs.shape[0]:
-        distractor_emb, _ = result.model.forward(split.distractor_inputs)
-    else:
-        distractor_emb = np.zeros((0, embeddings.shape[1]))
+    distractor_emb, _ = result.model.forward(split.distractor_inputs)
     ident = metrics.rank1_identification(
         embeddings[split.probe_idx], split.labels[split.probe_idx],
         embeddings[split.gallery_idx], split.labels[split.gallery_idx],
@@ -71,8 +70,8 @@ def final_metrics(result, experiment: ExperimentConfig) -> dict:
         "pair_accuracy": pair_acc,
         "final_mean_loss": last.mean_loss if last else None,
         "train_accuracy": last.train_accuracy if last else None,
-        "pearson_r": last.hardness_report.pearson_r if last and last.hardness_report else None,
-        "overlap_rate": last.overlap.overlap_rate if last and last.overlap else None,
+        "pearson_r": last.pearson_r if last else None,
+        "overlap_rate": last.overlap_rate if last else None,
     }
 
 
@@ -172,7 +171,7 @@ def cmd_train(args) -> int:
                                 result.model, result.class_weights, experiment,
                                 experiment.schedule.total_epochs)
         payload["final_metrics"] = final_metrics(result, experiment)
-        payload["epochs"] = [reports.diagnostics_row(d) for d in log.epochs]
+        payload["epochs"] = [dataclasses.asdict(diag) for diag in log.epochs]
     payload["elapsed_seconds"] = round(time.monotonic() - started, 3)
     reports.write_summary_json(os.path.join(out_dir, "summary.json"), payload)
 

@@ -131,9 +131,6 @@ def evaluation_split(spec: SyntheticDatasetSpec, samples_per_class: int,
     gallery_idx = probe_idx + 1
 
     d_rng = named_rng(seed, "eval-distractors")
-    if n_distractors > 0:
-        d_centers = _uniform_sphere(d_rng, n_distractors, spec.input_dim)
-        distractors, _ = sample_around_centers(d_centers, 1, spec.concentration, d_rng)
-    else:
-        distractors = np.zeros((0, spec.input_dim))
+    d_centers = _uniform_sphere(d_rng, n_distractors, spec.input_dim)
+    distractors, _ = sample_around_centers(d_centers, 1, spec.concentration, d_rng)
     return EvalSplit(inputs, labels, probe_idx, gallery_idx, distractors)

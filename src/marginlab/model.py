@@ -150,4 +150,11 @@ class EmbeddingNet:
 def init_class_weights(n_classes: int, dim: int, init_scale: float, seed: int) -> np.ndarray:
     """Classifier weight rows, same scaled uniform scheme as the net."""
     rng = named_rng(seed, "classifier-init")
-    return init_matrix(rng, dim, n_classes, init_scale).T
+    return as_class_weights(init_matrix(rng, dim, n_classes, init_scale).T)
+
+
+def as_class_weights(rows) -> np.ndarray:
+    """Classifier rows in the layout training keeps them in: column-major,
+    the transpose of the (dim, n_classes) draw. Normalization and cosine
+    products round differently on a row-major copy."""
+    return np.asfortranarray(rows, dtype=np.float64)

@@ -8,13 +8,15 @@ is the one field exempt from byte-identity.
 
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
 from .config import SCHEMA_VERSION, ExperimentConfig, build_config, parse_values
 from .errors import ConfigParseError
-from .model import EmbeddingNet
+from .model import EmbeddingNet, as_class_weights
+from .train import EpochDiagnostics
 
 CHECKPOINT_MAGIC = "marginlab-checkpoint"
 
@@ -38,37 +40,13 @@ def write_loss_csv(path, log) -> None:
                ([iteration, epoch, fmt(loss)] for iteration, epoch, loss in log.iterations))
 
 
-DIAGNOSTIC_COLUMNS = [
-    "epoch", "mean_loss", "lr", "train_accuracy", "n_misclassified",
-    "pearson_r", "mean_pos_distance", "mean_neg_distance", "overlap_rate",
-]
-
-
-def diagnostics_row(diag) -> dict:
-    hr, ov = diag.hardness_report, diag.overlap
-    return {
-        "epoch": diag.epoch,
-        "mean_loss": diag.mean_loss,
-        "lr": diag.lr,
-        "train_accuracy": diag.train_accuracy,
-        "n_misclassified": hr.n_misclassified if hr else 0,
-        "pearson_r": hr.pearson_r if hr else None,
-        "mean_pos_distance": hr.mean_pos_distance if hr else None,
-        "mean_neg_distance": hr.mean_neg_distance if hr else None,
-        "overlap_rate": ov.overlap_rate if ov else None,
-        "hardness_note": diag.hardness_note,
-        "overlap_note": diag.overlap_note,
-    }
-
-
 def write_diagnostics_csv(path, log) -> None:
-    rows = (diagnostics_row(diag) for diag in log.epochs)
-    _write_csv(path, DIAGNOSTIC_COLUMNS, ([
-        row["epoch"], fmt(row["mean_loss"]), fmt(row["lr"]),
-        fmt(row["train_accuracy"]), row["n_misclassified"],
-        fmt(row["pearson_r"]), fmt(row["mean_pos_distance"]),
-        fmt(row["mean_neg_distance"]), fmt(row["overlap_rate"]),
-    ] for row in rows))
+    """One row per ``EpochDiagnostics``: its fields before the notes."""
+    columns = [f.name for f in fields(EpochDiagnostics) if not f.name.endswith("_note")]
+    _write_csv(path, columns, ([
+        value if isinstance(value, int) else fmt(value)
+        for value in (getattr(diag, name) for name in columns)
+    ] for diag in log.epochs))
 
 
 def write_correlation_csv(path, rows) -> None:
@@ -90,22 +68,18 @@ def write_dimstudy_csv(path, blocks) -> None:
                 for dim, edges, density in blocks for i in range(len(density))))
 
 
-def compare_columns(far_targets) -> list:
-    cols = ["variant"]
-    cols += [f"tar_at_far_{t:g}" for t in far_targets]
-    cols += ["rank1_accuracy", "pair_accuracy", "final_mean_loss",
-             "train_accuracy", "pearson_r", "overlap_rate"]
-    return cols
+# the metric columns of comparison.csv, after the TAR ones: cli.final_metrics keys
+COMPARE_METRICS = ("rank1_accuracy", "pair_accuracy", "final_mean_loss",
+                   "train_accuracy", "pearson_r", "overlap_rate")
 
 
 def write_compare_csv(path, far_targets, rows) -> None:
     """rows: (variant_token, metrics dict from cli.final_metrics)."""
-    _write_csv(path, compare_columns(far_targets), ([
+    targets = [f"{t:g}" for t in far_targets]
+    _write_csv(path, ["variant", *(f"tar_at_far_{t}" for t in targets), *COMPARE_METRICS], ([
         token,
-        *(fmt(metrics["tar_at_far"][f"{t:g}"]) for t in far_targets),
-        fmt(metrics["rank1_accuracy"]), fmt(metrics["pair_accuracy"]),
-        fmt(metrics["final_mean_loss"]), fmt(metrics["train_accuracy"]),
-        fmt(metrics["pearson_r"]), fmt(metrics["overlap_rate"]),
+        *(fmt(metrics["tar_at_far"][t]) for t in targets),
+        *(fmt(metrics[name]) for name in COMPARE_METRICS),
     ] for token, metrics in rows))
 
 
@@ -216,4 +190,4 @@ def load_checkpoint(path):
         if name not in tensors or tensors[name].shape != shape:
             raise ConfigParseError(f"{path}: tensor {name} is missing or not of shape {shape}")
     model.set_params([tensors[name] for name in names])
-    return experiment, model, tensors["class_weights"], epochs_trained
+    return experiment, model, as_class_weights(tensors["class_weights"]), epochs_trained

@@ -28,13 +28,20 @@ _SCAN_ROWS = 1024
 
 @dataclass
 class EpochDiagnostics:
+    """One epoch's row of ``diagnostics.csv``, in column order, followed by
+    the notes that say why a statistic is None (the epoch lacks the samples
+    to define it)."""
+
     epoch: int
-    lr: float
     mean_loss: float
+    lr: float
     train_accuracy: float
-    hardness_report: hardness.HardnessReport | None = None
+    n_misclassified: int
+    pearson_r: float | None = None
+    mean_pos_distance: float | None = None
+    mean_neg_distance: float | None = None
+    overlap_rate: float | None = None
     hardness_note: str | None = None
-    overlap: hardness.DistributionOverlap | None = None
     overlap_note: str | None = None
 
 
@@ -80,18 +87,23 @@ def full_set_cosines(model: EmbeddingNet, class_weights, inputs):
 
 def epoch_diagnostics(epoch, lr, mean_loss, model, class_weights, inputs, labels,
                       m0) -> EpochDiagnostics:
-    """Hardness and overlap reports on the full training set; degenerate
-    stages (nothing mis-classified, constant series) are recorded as notes
-    instead of aborting the run."""
+    """The diagnostics row of the full training set. A degenerate stage
+    (nothing mis-classified, a constant series) leaves its statistics None
+    and a note instead of aborting the run; ``n_misclassified`` is counted
+    in every epoch."""
     scan = hardness.row_scan(full_set_cosines(model, class_weights, inputs), labels, m0)
-    diag = EpochDiagnostics(epoch=epoch, lr=lr, mean_loss=mean_loss,
-                            train_accuracy=scan.accuracy(labels))
+    diag = EpochDiagnostics(epoch=epoch, mean_loss=mean_loss, lr=lr,
+                            train_accuracy=scan.accuracy(labels),
+                            n_misclassified=int(scan.mis.sum()))
     try:
-        diag.hardness_report = scan.correlation()
+        report = scan.correlation()
+        diag.pearson_r = report.pearson_r
+        diag.mean_pos_distance = report.mean_pos_distance
+        diag.mean_neg_distance = report.mean_neg_distance
     except (InsufficientSamples, DegenerateVariance) as exc:
         diag.hardness_note = str(exc)
     try:
-        diag.overlap = scan.overlap()
+        diag.overlap_rate = scan.overlap().overlap_rate
     except EmptyPartition as exc:
         diag.overlap_note = str(exc)
     return diag

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from marginlab import cli
+from marginlab import cli, reports
 from marginlab.cli import main
 from marginlab.config import load_config
 from marginlab.errors import ConfigParseError
@@ -37,6 +37,60 @@ eval.kfold = 5
 """
 
 
+# the two headers as README documents them
+DIAGNOSTICS_HEADER = ("epoch,mean_loss,lr,train_accuracy,n_misclassified,pearson_r,"
+                      "mean_pos_distance,mean_neg_distance,overlap_rate")
+COMPARE_HEADER = ("variant,tar_at_far_<target>...,rank1_accuracy,pair_accuracy,"
+                  "final_mean_loss,train_accuracy,pearson_r,overlap_rate")
+
+# at --seed 3, epoch 11 ends with exactly one of the 200 training rows
+# mis-classified, so its correlation is undefined
+ONE_MISCLASSIFIED_CONFIG = """
+dataset.n_classes = 20
+dataset.samples_per_class = 10
+dataset.input_dim = 10
+dataset.concentration = 400
+model.layer_widths = 10,16,8
+loss.variant = arcface
+loss.s = 16
+loss.m = 0.2
+loss.m0 = 0
+schedule.total_epochs = 20
+schedule.milestones = 12,16
+schedule.batch_size = 20
+eval.n_positive_pairs = 100
+eval.n_negative_pairs = 100
+eval.n_distractors = 0
+"""
+
+# the acceptance correlation task at 200 classes and 10 epochs
+CORR200_CONFIG = """
+seed = 0
+dataset.n_classes = 200
+dataset.samples_per_class = 12
+dataset.input_dim = 16
+dataset.concentration = 320
+dataset.crowding = 0.8
+dataset.min_center_cosine = 0.8
+model.layer_widths = 16,16,8
+loss.variant = npcface
+loss.s = 24
+loss.m0 = 0.1
+loss.m1 = 0.1
+loss.t = 1.05
+loss.alpha = 0.1
+schedule.total_epochs = 10
+schedule.milestones = 7,9
+"""
+
+
+def test_readme_documents_the_headers():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    assert f"`{DIAGNOSTICS_HEADER}`" in readme
+    assert f"`{COMPARE_HEADER}`" in readme
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "experiment.cfg"
@@ -65,6 +119,8 @@ class TestTrainCommand:
         assert loss_lines[0] == "iteration,epoch,loss"
         # 80 samples / batch 20 = 4 iterations x 6 epochs
         assert len(loss_lines) - 1 == 24
+        diag_lines = read(os.path.join(out, "diagnostics.csv")).decode().splitlines()
+        assert diag_lines[0] == DIAGNOSTICS_HEADER
 
         with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
             summary = json.load(fh)
@@ -72,12 +128,44 @@ class TestTrainCommand:
         assert summary["diverged"] is False
         assert "0.05" in summary["final_metrics"]["tar_at_far"]
         assert len(summary["epochs"]) == 6
+        for row in summary["epochs"]:
+            assert list(row) == [*DIAGNOSTICS_HEADER.split(","), "hardness_note", "overlap_note"]
         # every sample is mis-classified after epoch 1, so the overlap is
         # undefined there and the row says why
         for row in summary["epochs"][1:]:
             assert row["overlap_rate"] is None
             assert row["overlap_note"].startswith("no well-classified rows")
         assert summary["epochs"][0]["overlap_note"] is None
+
+    def test_n_misclassified_counted_when_the_correlation_is_undefined(self, tmp_path):
+        path = tmp_path / "one.cfg"
+        path.write_text(ONE_MISCLASSIFIED_CONFIG, encoding="utf-8")
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", str(path), "--out", out, "--seed", "3"]) == 0
+        rows = read_json(os.path.join(out, "summary.json"))["epochs"]
+        assert rows[10]["hardness_note"] == "need >= 2 mis-classified samples, got 1"
+        assert rows[10]["n_misclassified"] == 1
+        # with m0 = 0 a row is hard iff it is mis-classified
+        for row in rows:
+            assert row["n_misclassified"] == round(200 * (1 - row["train_accuracy"]))
+        cells = read(os.path.join(out, "diagnostics.csv")).decode().splitlines()[11].split(",")
+        assert cells[:5] == ["11", repr(rows[10]["mean_loss"]), "0.1", "0.995", "1"]
+
+    def test_no_distractors(self, config_path, tmp_path):
+        # distractors only join the identification gallery, so without them
+        # rank-1 can only rise and every other artifact stays the same
+        path = tmp_path / "none.cfg"
+        path.write_text(SMALL_CONFIG.replace("eval.n_distractors = 10", "eval.n_distractors = 0"),
+                        encoding="utf-8")
+        out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main(["train", "--config", config_path, "--out", out_a]) == 0
+        assert main(["train", "--config", str(path), "--out", out_b]) == 0
+        for name in ("loss.csv", "diagnostics.csv"):
+            assert read(os.path.join(out_a, name)) == read(os.path.join(out_b, name))
+        with_them = read_json(os.path.join(out_a, "summary.json"))["final_metrics"]
+        without = read_json(os.path.join(out_b, "summary.json"))["final_metrics"]
+        assert without.pop("rank1_accuracy") >= with_them.pop("rank1_accuracy")
+        assert without == with_them
 
     def test_checkpoint_roundtrip(self, config_path, tmp_path):
         out = str(tmp_path / "run")
@@ -186,7 +274,8 @@ class TestCompareCommand:
         assert main(["compare", "--config", config_path, "--out", out,
                      "--variants", "arcface,arcface"]) == 0
         lines = read(os.path.join(out, "comparison.csv")).decode().splitlines()
-        assert lines[0].startswith("variant,tar_at_far_0.2,tar_at_far_0.05,")
+        assert lines[0] == COMPARE_HEADER.replace("tar_at_far_<target>...",
+                                                  "tar_at_far_0.2,tar_at_far_0.05")
         assert len(lines) == 3
         assert lines[1].split(",", 1)[1] == lines[2].split(",", 1)[1]
         assert multiprocessing.active_children() == []
@@ -201,6 +290,7 @@ class TestCompareCommand:
         for token in tokens:
             run = cli._with_token(experiment, token)
             rows.append((token, cli.final_metrics(train(run), run)))
+            assert list(rows[-1][1]) == ["tar_at_far", *reports.COMPARE_METRICS]
         expected = str(tmp_path / "expected.csv")
         write_compare_csv(expected, experiment.eval.far_targets, rows)
         assert read(os.path.join(out, "comparison.csv")) == read(expected)
@@ -290,6 +380,19 @@ class TestAnalyzeCommand:
             hist = read(os.path.join(an, "histogram.csv")).decode().splitlines()
             assert hist[0] == "bin_left,bin_right,h_mis,h_well"
             assert len(hist) == 51
+
+    def test_reproduces_the_last_diagnostics_row(self, tmp_path):
+        path = tmp_path / "corr.cfg"
+        path.write_text(CORR200_CONFIG, encoding="utf-8")
+        out, an = str(tmp_path / "run"), str(tmp_path / "an")
+        assert main(["train", "--config", str(path), "--out", out]) == 0
+        assert main(["analyze", "--checkpoint", os.path.join(out, "checkpoint.txt"),
+                     "--out", an]) == 0
+        last = read_json(os.path.join(out, "summary.json"))["epochs"][-1]
+        analyzed = read_json(os.path.join(an, "analyze_summary.json"))
+        for key in ("pearson_r", "n_misclassified", "mean_pos_distance",
+                    "mean_neg_distance", "overlap_rate"):
+            assert analyzed[key] == last[key], key
 
     def test_m0_override(self, config_path, tmp_path):
         out = str(tmp_path / "run")

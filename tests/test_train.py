@@ -101,5 +101,5 @@ def test_epoch_diagnostics_populated():
     result = train(small_config(epochs=3, milestones=""))
     for diag in result.log.epochs:
         assert 0.0 <= diag.train_accuracy <= 1.0
-        assert diag.hardness_report is not None or diag.hardness_note
-        assert diag.overlap is not None or diag.overlap_note
+        assert diag.pearson_r is not None or diag.hardness_note
+        assert diag.overlap_rate is not None or diag.overlap_note

@@ -26,7 +26,6 @@ from .errors import (
     EmptyPartition,
     InfeasiblePairCount,
     InsufficientPairs,
-    InsufficientSamples,
     MarginLabError,
 )
 from .model import ACTIVATIONS, EmbeddingNet, ModelSpec, init_class_weights
@@ -57,7 +56,7 @@ def final_metrics(result, experiment: ExperimentConfig) -> dict:
     pair_acc = metrics.kfold_threshold_accuracy(scores, pairs.is_same,
                                                 ev.kfold, experiment.folds_seed)
     distractor_emb, _ = result.model.forward(split.distractor_inputs)
-    ident = metrics.rank1_identification(
+    rank1 = metrics.rank1_identification(
         embeddings[split.probe_idx], split.labels[split.probe_idx],
         embeddings[split.gallery_idx], split.labels[split.gallery_idx],
         distractor_emb,
@@ -66,7 +65,7 @@ def final_metrics(result, experiment: ExperimentConfig) -> dict:
     last = result.log.epochs[-1] if result.log.epochs else None
     return {
         "tar_at_far": tars,
-        "rank1_accuracy": ident.rank1_accuracy,
+        "rank1_accuracy": rank1,
         "pair_accuracy": pair_acc,
         "final_mean_loss": last.mean_loss if last else None,
         "train_accuracy": last.train_accuracy if last else None,
@@ -227,29 +226,26 @@ def cmd_analyze(args) -> int:
             f"{class_weights.shape[0]} classifier rows")
     inputs, labels = generate_dataset(experiment.dataset)
     scan = hardness.row_scan(full_set_cosines(model, class_weights, inputs), labels, m0)
-    report = scan.correlation()
-    overlap = scan.overlap(n_bins=args.bins)
+    statistics, histograms = scan.statistics(args.bins)
 
     reports.write_correlation_csv(
         os.path.join(out_dir, "correlation.csv"),
-        [(epochs_trained, report.pearson_r, report.n_misclassified)],
+        [(epochs_trained, statistics["pearson_r"], statistics["n_misclassified"])],
     )
-    reports.write_histogram_csv(
-        os.path.join(out_dir, "histogram.csv"),
-        overlap.bin_edges, overlap.histogram_mis, overlap.histogram_well,
-    )
+    if histograms:
+        reports.write_histogram_csv(os.path.join(out_dir, "histogram.csv"), *histograms)
     payload = reports.summary_payload(experiment, "analyze")
     payload["epochs_trained"] = epochs_trained
     payload["m0"] = m0
-    payload["pearson_r"] = report.pearson_r
-    payload["n_misclassified"] = report.n_misclassified
-    payload["mean_pos_distance"] = report.mean_pos_distance
-    payload["mean_neg_distance"] = report.mean_neg_distance
-    payload["overlap_rate"] = overlap.overlap_rate
+    payload.update(statistics)
     reports.write_summary_json(os.path.join(out_dir, "analyze_summary.json"), payload)
-    print(f"analyze: pearson_r={report.pearson_r:.4f} over "
-          f"{report.n_misclassified} mis-classified samples, "
-          f"overlap_rate={overlap.overlap_rate:.4f}")
+    note = statistics["hardness_note"] or statistics["overlap_note"]
+    if note:
+        print(f"insufficient data: {note}", file=sys.stderr)
+        return EXIT_INSUFFICIENT
+    print(f"analyze: pearson_r={statistics['pearson_r']:.4f} over "
+          f"{statistics['n_misclassified']} mis-classified samples, "
+          f"overlap_rate={statistics['overlap_rate']:.4f}")
     return EXIT_OK
 
 
@@ -301,11 +297,15 @@ def cmd_gradcheck(args) -> int:
 
 
 def _nearest_histogram(result, run):
-    """One dimstudy block: (embedding dim, bin edges, nearest-negative density)."""
+    """One dimstudy width: ((embedding dim, bin edges, nearest-negative
+    density), None), or (None, note) when nothing is mis-classified."""
     inputs, labels = generate_dataset(run.dataset)
     scan = hardness.row_scan(full_set_cosines(result.model, result.class_weights, inputs),
                              labels, run.loss.m0)
-    return (run.model.embedding_dim, *scan.nearest_histogram())
+    try:
+        return (run.model.embedding_dim, *scan.nearest_histogram()), None
+    except EmptyPartition as exc:
+        return None, str(exc)
 
 
 def cmd_dimstudy(args) -> int:
@@ -323,7 +323,10 @@ def cmd_dimstudy(args) -> int:
     started = time.monotonic()
 
     finished, diverged = _train_each("dimstudy", runs, _nearest_histogram)
-    blocks = [block for _, block in finished]
+    blocks = [block for _, (block, _) in finished if block]
+    undefined = {name: note for name, (_, note) in finished if note}
+    for name, note in undefined.items():
+        print(f"insufficient data: {name}: {note}", file=sys.stderr)
 
     reports.write_dimstudy_csv(os.path.join(out_dir, "dimstudy.csv"), blocks)
     payload = reports.summary_payload(experiment, "dimstudy")
@@ -334,10 +337,13 @@ def cmd_dimstudy(args) -> int:
         for b, _, db in blocks[i + 1:]
     }
     payload["diverged"] = diverged
+    payload["undefined"] = undefined
     payload["elapsed_seconds"] = round(time.monotonic() - started, 3)
     reports.write_summary_json(os.path.join(out_dir, "dimstudy_summary.json"), payload)
     if diverged:
         return EXIT_DIVERGED
+    if undefined:
+        return EXIT_INSUFFICIENT
     print(f"dimstudy: histograms in {out_dir}/dimstudy.csv")
     return EXIT_OK
 
@@ -408,7 +414,7 @@ def main(argv=None) -> int:
     except DivergedLoss as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (InsufficientSamples, EmptyPartition, InfeasiblePairCount, InsufficientPairs) as exc:
+    except (InfeasiblePairCount, InsufficientPairs) as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
     except MarginLabError as exc:

@@ -7,9 +7,11 @@ positive margin by the mean cosine of its hard negatives.
 
 The full-set diagnostics come from ``row_scan``: one pass over row blocks
 of the N x C cosine matrix that keeps four length-N vectors in a
-``RowScan``. Its methods give the hardness correlation, the similarity
-distributions and the nearest-negative histogram; a whole matrix is one
-block.
+``RowScan``; a whole matrix is one block. ``RowScan.statistics`` maps a
+scan to the hardness statistics of one ``diagnostics.csv`` row (the
+correlation and the overlap of the similarity distributions), with a note
+for each statistic the rows cannot define; ``train`` and ``analyze`` both
+read it. ``RowScan.nearest_histogram`` feeds ``dimstudy``.
 """
 
 from dataclasses import dataclass
@@ -20,33 +22,6 @@ from .errors import DegenerateVariance, EmptyPartition, InsufficientSamples
 from .geometry import cos_shifted
 
 DEFAULT_BINS = 50
-
-
-@dataclass
-class HardnessReport:
-    """Correlation between positive and negative hardness.
-
-    ``pos_distances`` / ``neg_distances`` keep the raw series (cosine
-    distance to the ground-truth center / to the nearest other center) so
-    alternative statistics can be recomputed from the report.
-    """
-
-    pearson_r: float
-    n_misclassified: int
-    mean_pos_distance: float
-    mean_neg_distance: float
-    pos_distances: np.ndarray
-    neg_distances: np.ndarray
-
-
-@dataclass
-class DistributionOverlap:
-    """Normalized cosine-to-ground-truth histograms, split by hardness."""
-
-    histogram_mis: np.ndarray
-    histogram_well: np.ndarray
-    overlap_rate: float
-    bin_edges: np.ndarray
 
 
 def compute_mask(cosines, labels, m0: float) -> np.ndarray:
@@ -95,8 +70,35 @@ class RowScan:
     def accuracy(self, labels) -> float:
         return float(np.mean(self.pred == labels))
 
-    def correlation(self) -> HardnessReport:
-        """Pearson correlation between the two hardness distances.
+    def statistics(self, n_bins: int = DEFAULT_BINS):
+        """The hardness statistics of a ``diagnostics.csv`` row, and the
+        overlap's histograms.
+
+        Returns (statistics, histograms). ``statistics`` maps, in this
+        order, n_misclassified, pearson_r, mean_pos_distance,
+        mean_neg_distance, overlap_rate, hardness_note and overlap_note. A
+        statistic the rows cannot define is None, and its note gives the
+        reason; a note is None otherwise. ``histograms`` is the
+        [bin_edges, histogram_mis, histogram_well] of ``overlap``, or None
+        when the overlap is undefined.
+        """
+        r = mean_pos = mean_neg = rate = histograms = hardness_note = overlap_note = None
+        try:
+            r, mean_pos, mean_neg = self.correlation()
+        except (InsufficientSamples, DegenerateVariance) as exc:
+            hardness_note = str(exc)
+        try:
+            rate, *histograms = self.overlap(n_bins)
+        except EmptyPartition as exc:
+            overlap_note = str(exc)
+        return {"n_misclassified": int(self.mis.sum()), "pearson_r": r,
+                "mean_pos_distance": mean_pos, "mean_neg_distance": mean_neg,
+                "overlap_rate": rate, "hardness_note": hardness_note,
+                "overlap_note": overlap_note}, histograms
+
+    def correlation(self):
+        """Pearson correlation between the two hardness distances:
+        (pearson_r, mean_pos_distance, mean_neg_distance).
 
         For every mis-classified row: d_pos = 1 - cos(theta_iy) and
         d_neg = 1 - max over j != y of cos(theta_ij) (nearest of *all* other
@@ -111,17 +113,11 @@ class RowScan:
         if np.ptp(d_pos) == 0.0 or np.ptp(d_neg) == 0.0:
             raise DegenerateVariance("a distance series is constant")
         r = float(np.clip(np.corrcoef(d_pos, d_neg)[0, 1], -1.0, 1.0))
-        return HardnessReport(
-            pearson_r=r,
-            n_misclassified=n_mis,
-            mean_pos_distance=float(d_pos.mean()),
-            mean_neg_distance=float(d_neg.mean()),
-            pos_distances=d_pos,
-            neg_distances=d_neg,
-        )
+        return r, float(d_pos.mean()), float(d_neg.mean())
 
-    def overlap(self, n_bins: int = DEFAULT_BINS) -> DistributionOverlap:
-        """Cosine-to-ground-truth histograms of mis- vs well-classified rows.
+    def overlap(self, n_bins: int = DEFAULT_BINS):
+        """Cosine-to-ground-truth histograms of mis- vs well-classified rows:
+        (overlap_rate, bin_edges, histogram_mis, histogram_well).
 
         Both histograms use the same n_bins equal-width bins over [-1, 1] (so
         runs of different dimensionality stay comparable) and are normalized
@@ -139,8 +135,7 @@ class RowScan:
         h_well, _ = np.histogram(self.pos_cos[~mis], bins=n_bins, range=(-1.0, 1.0))
         h_mis = h_mis / h_mis.sum()
         h_well = h_well / h_well.sum()
-        overlap = float(np.minimum(h_mis, h_well).sum())
-        return DistributionOverlap(h_mis, h_well, overlap, edges)
+        return float(np.minimum(h_mis, h_well).sum()), edges, h_mis, h_well
 
     def nearest_histogram(self, n_bins: int = DEFAULT_BINS):
         """Histogram of the mis-classified rows' nearest non-label cosine.

@@ -49,14 +49,6 @@ class RocCurve:
         return list(zip(self.thresholds, self.far, self.tar))
 
 
-@dataclass
-class IdentificationResult:
-    rank1_accuracy: float
-    n_probes: int
-    n_gallery: int
-    n_distractors: int
-
-
 def build_pairs(labels, n_positive: int, n_negative: int, seed: int) -> PairSet:
     """Seeded sampling of same-class and cross-class index pairs, without
     replacement within each kind."""
@@ -162,8 +154,8 @@ def tar_at_far(curve: RocCurve, far_target: float) -> float:
 
 
 def rank1_identification(probe_embeddings, probe_labels, gallery_embeddings,
-                         gallery_labels, distractor_embeddings) -> IdentificationResult:
-    """Rank-1 over the gallery plus distractors, cosine similarity.
+                         gallery_labels, distractor_embeddings) -> float:
+    """Rank-1 accuracy over the gallery plus distractors, cosine similarity.
 
     A probe scores correct iff the single highest-cosine candidate is a
     gallery entry carrying the probe's label. Ties resolve to the lowest
@@ -187,12 +179,7 @@ def rank1_identification(probe_embeddings, probe_labels, gallery_embeddings,
     best = sims.argmax(axis=1)  # argmax takes the first (lowest-index) maximum
     in_gallery = best < gallery.shape[0]
     correct = in_gallery & (gallery_labels[np.minimum(best, gallery.shape[0] - 1)] == probe_labels)
-    return IdentificationResult(
-        rank1_accuracy=float(np.mean(correct)),
-        n_probes=probes.shape[0],
-        n_gallery=gallery.shape[0],
-        n_distractors=int(distractors.shape[0]) if distractors.size else 0,
-    )
+    return float(np.mean(correct))
 
 
 def _candidate_thresholds(scores):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import hardness, losses
 from .data import SyntheticDatasetSpec, generate_dataset
-from .errors import DegenerateVariance, DivergedLoss, EmptyPartition, InsufficientSamples, ZeroNorm
+from .errors import DivergedLoss, ZeroNorm
 from .geometry import cosine_matrix, normalize_rows
 from .model import EmbeddingNet, ModelSpec, init_class_weights
 from .optim import OptimizerState, TrainingSchedule, sgd_step
@@ -37,12 +37,12 @@ class EpochDiagnostics:
     lr: float
     train_accuracy: float
     n_misclassified: int
-    pearson_r: float | None = None
-    mean_pos_distance: float | None = None
-    mean_neg_distance: float | None = None
-    overlap_rate: float | None = None
-    hardness_note: str | None = None
-    overlap_note: str | None = None
+    pearson_r: float | None
+    mean_pos_distance: float | None
+    mean_neg_distance: float | None
+    overlap_rate: float | None
+    hardness_note: str | None
+    overlap_note: str | None
 
 
 @dataclass
@@ -87,26 +87,12 @@ def full_set_cosines(model: EmbeddingNet, class_weights, inputs):
 
 def epoch_diagnostics(epoch, lr, mean_loss, model, class_weights, inputs, labels,
                       m0) -> EpochDiagnostics:
-    """The diagnostics row of the full training set. A degenerate stage
-    (nothing mis-classified, a constant series) leaves its statistics None
-    and a note instead of aborting the run; ``n_misclassified`` is counted
-    in every epoch."""
+    """The diagnostics row of the full training set. A statistic the epoch
+    cannot define stays None with a note (``RowScan.statistics``) instead of
+    aborting the run."""
     scan = hardness.row_scan(full_set_cosines(model, class_weights, inputs), labels, m0)
-    diag = EpochDiagnostics(epoch=epoch, mean_loss=mean_loss, lr=lr,
-                            train_accuracy=scan.accuracy(labels),
-                            n_misclassified=int(scan.mis.sum()))
-    try:
-        report = scan.correlation()
-        diag.pearson_r = report.pearson_r
-        diag.mean_pos_distance = report.mean_pos_distance
-        diag.mean_neg_distance = report.mean_neg_distance
-    except (InsufficientSamples, DegenerateVariance) as exc:
-        diag.hardness_note = str(exc)
-    try:
-        diag.overlap_rate = scan.overlap().overlap_rate
-    except EmptyPartition as exc:
-        diag.overlap_note = str(exc)
-    return diag
+    statistics, _ = scan.statistics()
+    return EpochDiagnostics(epoch, mean_loss, lr, scan.accuracy(labels), **statistics)
 
 
 def train(experiment) -> TrainResult:

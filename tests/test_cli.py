@@ -361,25 +361,41 @@ class TestCompareCommand:
         assert not (tmp_path / "x").exists()
 
 
+# the hardness statistics and notes of a diagnostics row, in analyze_summary.json order
+STATISTIC_KEYS = ("n_misclassified", "pearson_r", "mean_pos_distance", "mean_neg_distance",
+                  "overlap_rate", "hardness_note", "overlap_note")
+
+
 class TestAnalyzeCommand:
     def test_reports_written(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "run")
-        main(["train", "--config", config_path, "--out", out])
+        assert main(["train", "--config", config_path, "--out", out]) == 0
         an = str(tmp_path / "an")
         capsys.readouterr()
-        code = main(["analyze", "--checkpoint", os.path.join(out, "checkpoint.txt"),
-                     "--out", an])
-        assert code in (0, 4)
-        if code == 4:
-            # the scan covers the whole training set: 8 classes x 10 samples
-            assert capsys.readouterr().err.endswith(" rows among the 80 scanned\n")
-        if code == 0:
-            corr = read(os.path.join(an, "correlation.csv")).decode().splitlines()
-            assert corr[0] == "epoch,pearson_r,n_misclassified"
-            assert corr[1].split(",")[0] == "6"
-            hist = read(os.path.join(an, "histogram.csv")).decode().splitlines()
-            assert hist[0] == "bin_left,bin_right,h_mis,h_well"
-            assert len(hist) == 51
+        # every one of the 80 training rows (8 classes x 10 samples) is hard at
+        # m0 = 0.15, so the overlap is undefined; the correlation is still written
+        assert main(["analyze", "--checkpoint", os.path.join(out, "checkpoint.txt"),
+                     "--out", an]) == 4
+        assert capsys.readouterr().err == (
+            "insufficient data: no well-classified rows among the 80 scanned\n")
+        corr = read(os.path.join(an, "correlation.csv")).decode().splitlines()
+        assert corr[0] == "epoch,pearson_r,n_misclassified"
+        last = read_json(os.path.join(out, "summary.json"))["epochs"][-1]
+        assert corr[1] == f"6,{last['pearson_r']!r},80"
+        assert not os.path.exists(os.path.join(an, "histogram.csv"))
+        summary = read_json(os.path.join(an, "analyze_summary.json"))
+        assert list(summary)[-len(STATISTIC_KEYS):] == list(STATISTIC_KEYS)
+        assert summary["overlap_note"] == "no well-classified rows among the 80 scanned"
+
+        # at m0 = 0 some rows are well classified and every statistic is defined
+        an0 = str(tmp_path / "an0")
+        assert main(["analyze", "--checkpoint", os.path.join(out, "checkpoint.txt"),
+                     "--out", an0, "--m0", "0"]) == 0
+        corr = read(os.path.join(an0, "correlation.csv")).decode().splitlines()
+        assert corr[1].split(",")[0] == "6"
+        hist = read(os.path.join(an0, "histogram.csv")).decode().splitlines()
+        assert hist[0] == "bin_left,bin_right,h_mis,h_well"
+        assert len(hist) == 51
 
     def test_reproduces_the_last_diagnostics_row(self, tmp_path):
         path = tmp_path / "corr.cfg"
@@ -390,27 +406,44 @@ class TestAnalyzeCommand:
                      "--out", an]) == 0
         last = read_json(os.path.join(out, "summary.json"))["epochs"][-1]
         analyzed = read_json(os.path.join(an, "analyze_summary.json"))
-        for key in ("pearson_r", "n_misclassified", "mean_pos_distance",
-                    "mean_neg_distance", "overlap_rate"):
+        for key in STATISTIC_KEYS:
             assert analyzed[key] == last[key], key
+
+    def test_reproduces_a_row_whose_statistics_are_undefined(self, tmp_path, capsys):
+        # at --seed 3 the last epoch leaves no training row mis-classified
+        path = tmp_path / "one.cfg"
+        path.write_text(ONE_MISCLASSIFIED_CONFIG, encoding="utf-8")
+        out, an = str(tmp_path / "run"), str(tmp_path / "an")
+        assert main(["train", "--config", str(path), "--out", out, "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--checkpoint", os.path.join(out, "checkpoint.txt"),
+                     "--out", an]) == 4
+        assert capsys.readouterr().err == (
+            "insufficient data: need >= 2 mis-classified samples, got 0\n")
+        assert read(os.path.join(an, "correlation.csv")) == (
+            b"epoch,pearson_r,n_misclassified\n20,,0\n")
+        assert not os.path.exists(os.path.join(an, "histogram.csv"))
+        last = read_json(os.path.join(out, "summary.json"))["epochs"][-1]
+        analyzed = read_json(os.path.join(an, "analyze_summary.json"))
+        for key in STATISTIC_KEYS:
+            assert analyzed[key] == last[key], key
+        assert analyzed["hardness_note"] == "need >= 2 mis-classified samples, got 0"
+        assert analyzed["overlap_note"] == "no mis-classified rows among the 200 scanned"
 
     def test_m0_override(self, config_path, tmp_path):
         out = str(tmp_path / "run")
-        main(["train", "--config", config_path, "--out", out])
+        assert main(["train", "--config", config_path, "--out", out]) == 0
         results = {}
-        for m0 in ("0.0", "0.6"):
+        for m0, code in (("0.0", 0), ("0.6", 4)):
             an = str(tmp_path / f"an{m0}")
-            code = main(["analyze", "--checkpoint", os.path.join(out, "checkpoint.txt"),
-                         "--out", an, "--m0", m0])
-            assert code in (0, 4)
-            if code == 0:
-                with open(os.path.join(an, "analyze_summary.json"), encoding="utf-8") as fh:
-                    summary = json.load(fh)
-                assert summary["m0"] == float(m0)
-                results[m0] = summary["n_misclassified"]
-        if len(results) == 2:
-            # a wider mask margin can only mark more rows as hard
-            assert results["0.6"] >= results["0.0"]
+            assert main(["analyze", "--checkpoint", os.path.join(out, "checkpoint.txt"),
+                         "--out", an, "--m0", m0]) == code
+            summary = read_json(os.path.join(an, "analyze_summary.json"))
+            assert summary["m0"] == float(m0)
+            results[m0] = summary["n_misclassified"]
+        assert results == {"0.0": 60, "0.6": 80}
+        # a wider mask margin can only mark more rows as hard
+        assert results["0.6"] >= results["0.0"]
 
     @pytest.mark.parametrize("m0", ["-0.5", "nan", "inf", "4"])
     def test_m0_outside_its_range_rejected(self, tmp_path, capsys, m0):
@@ -582,7 +615,28 @@ class TestDimstudyCommand:
         summary = read_json(os.path.join(out, "dimstudy_summary.json"))
         assert summary["dims"] == [6, 4, 1]
         assert summary["diverged"] == ["d=1"]
+        assert summary["undefined"] == {}
         assert list(summary["pairwise_intersection"]) == ["6:4"]
+        assert multiprocessing.active_children() == []
+
+    def test_undefined_width_keeps_the_measured_blocks(self, tmp_path, capsys):
+        # at --seed 3 the d=8 run ends with no mis-classified row, so its
+        # nearest-negative histogram is undefined; d=4 is measured
+        path = tmp_path / "one.cfg"
+        path.write_text(ONE_MISCLASSIFIED_CONFIG, encoding="utf-8")
+        out = str(tmp_path / "dim")
+        assert main(["dimstudy", "--config", str(path), "--out", out, "--seed", "3",
+                     "--dims", "4,8"]) == 4
+        err = capsys.readouterr().err
+        assert err == "insufficient data: d=8: no mis-classified rows among the 200 scanned\n"
+        lines = read(os.path.join(out, "dimstudy.csv")).decode().splitlines()
+        assert {line.split(",")[0] for line in lines[1:]} == {"4"}
+        assert len(lines) == 51
+        summary = read_json(os.path.join(out, "dimstudy_summary.json"))
+        assert summary["dims"] == [4, 8]
+        assert summary["diverged"] == []
+        assert summary["undefined"] == {"d=8": "no mis-classified rows among the 200 scanned"}
+        assert summary["pairwise_intersection"] == {}
         assert multiprocessing.active_children() == []
 
     def test_blocks_match_in_process_training(self, config_path, tmp_path, usable_cpus):
@@ -593,7 +647,9 @@ class TestDimstudyCommand:
         blocks = []
         for dim in (6, 5, 4):
             run = experiment.override({"model.layer_widths": (10, 8, dim)})
-            blocks.append(cli._nearest_histogram(train(run), run))
+            block, note = cli._nearest_histogram(train(run), run)
+            assert note is None
+            blocks.append(block)
         expected = str(tmp_path / "expected.csv")
         write_dimstudy_csv(expected, blocks)
         assert read(os.path.join(out, "dimstudy.csv")) == read(expected)

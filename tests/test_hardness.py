@@ -110,9 +110,9 @@ class TestHardnessCorrelation:
         # marks both rows as hard
         cos = np.array([[0.9, 0.1, -0.5], [0.1, 0.9, -0.5]])
         labels = np.array([0, 0])
-        report = row_scan([cos.copy()], labels, 1.5).correlation()
-        assert report.n_misclassified == 2
-        assert abs(report.pearson_r + 1.0) < 1e-12
+        stats, _ = row_scan([cos.copy()], labels, 1.5).statistics()
+        assert stats["n_misclassified"] == 2
+        assert abs(stats["pearson_r"] + 1.0) < 1e-12
 
     def test_constant_series_raises(self):
         cos = np.array([[0.5, 0.7, 0.0], [0.5, 0.7, -0.2]])
@@ -130,23 +130,24 @@ class TestHardnessCorrelation:
     def test_matches_two_pass_pearson(self):
         rng = np.random.default_rng(24)
         cos, labels = self.cosines_with_all_rows_hard(rng, 50, 8)
-        report = row_scan([cos.copy()], labels, 0.0).correlation()
-        assert report.n_misclassified == 50
+        stats, _ = row_scan([cos.copy()], labels, 0.0).statistics()
+        assert stats["n_misclassified"] == 50
 
         d_pos = [1.0 - cos[i, labels[i]] for i in range(50)]
         d_neg = [1.0 - max(cos[i, j] for j in range(8) if j != labels[i])
                  for i in range(50)]
         expected = scalar_pearson(d_pos, d_neg)
-        assert abs(report.pearson_r - expected) < 1e-12
-        assert abs(report.mean_pos_distance - np.mean(d_pos)) < 1e-12
-        assert abs(report.mean_neg_distance - np.mean(d_neg)) < 1e-12
+        assert abs(stats["pearson_r"] - expected) < 1e-12
+        assert abs(stats["mean_pos_distance"] - np.mean(d_pos)) < 1e-12
+        assert abs(stats["mean_neg_distance"] - np.mean(d_neg)) < 1e-12
 
     def test_nearest_negative_uses_all_classes(self):
         # the nearest negative may be an unmasked class
         cos = np.array([[0.6, 0.7, 0.5], [0.2, 0.5, 0.4]])
         labels = np.array([0, 0])
-        report = row_scan([cos.copy()], labels, 0.0).correlation()
-        np.testing.assert_allclose(report.neg_distances, [0.3, 0.5], atol=1e-15)
+        scan = row_scan([cos.copy()], labels, 0.0)
+        np.testing.assert_allclose(1.0 - scan.nearest[scan.mis], [0.3, 0.5], atol=1e-15)
+        assert abs(scan.statistics()[0]["mean_neg_distance"] - 0.4) < 1e-15
 
 
 class TestSimilarityDistributions:
@@ -164,14 +165,14 @@ class TestSimilarityDistributions:
     def test_identical_populations_overlap_one(self):
         values = np.linspace(-0.5, 0.5, 200)
         cos, labels = self.split_cosines(values, values)
-        overlap = row_scan([cos.copy()], labels, 0.0).overlap(n_bins=20)
-        assert abs(overlap.overlap_rate - 1.0) < 1e-12
+        stats, _ = row_scan([cos.copy()], labels, 0.0).statistics(n_bins=20)
+        assert abs(stats["overlap_rate"] - 1.0) < 1e-12
 
     def test_disjoint_supports_overlap_zero(self):
         cos, labels = self.split_cosines(np.linspace(-0.8, -0.5, 50),
                                          np.linspace(0.5, 0.8, 50))
-        overlap = row_scan([cos.copy()], labels, 0.0).overlap()
-        assert overlap.overlap_rate == 0.0
+        stats, _ = row_scan([cos.copy()], labels, 0.0).statistics()
+        assert stats["overlap_rate"] == 0.0
 
     def test_half_overlapping_uniform_populations(self):
         # mis ~ U[-0.5, 0.5], well ~ U[0, 1]: exact intersection mass is 0.5;
@@ -180,16 +181,16 @@ class TestSimilarityDistributions:
         mis = np.linspace(-0.5, 0.5, 4001)
         well = np.linspace(0.0, 1.0, 4001)
         cos, labels = self.split_cosines(mis, well)
-        overlap = row_scan([cos.copy()], labels, 0.0).overlap(n_bins=40)
-        assert abs(overlap.overlap_rate - 0.5) < 2e-3
+        stats, _ = row_scan([cos.copy()], labels, 0.0).statistics(n_bins=40)
+        assert abs(stats["overlap_rate"] - 0.5) < 2e-3
 
     def test_histograms_normalized(self):
         rng = np.random.default_rng(25)
         cos, labels = self.split_cosines(rng.uniform(-1, 0, 100), rng.uniform(0, 1, 300))
-        overlap = row_scan([cos.copy()], labels, 0.0).overlap()
-        assert abs(overlap.histogram_mis.sum() - 1.0) < 1e-9
-        assert abs(overlap.histogram_well.sum() - 1.0) < 1e-9
-        assert len(overlap.bin_edges) == len(overlap.histogram_mis) + 1
+        _, (edges, h_mis, h_well) = row_scan([cos.copy()], labels, 0.0).statistics()
+        assert abs(h_mis.sum() - 1.0) < 1e-9
+        assert abs(h_well.sum() - 1.0) < 1e-9
+        assert len(edges) == len(h_mis) + 1
 
     def test_empty_partition_raises(self):
         cos = np.array([[0.9, 0.1], [0.8, 0.0]])
@@ -206,9 +207,40 @@ class TestSimilarityDistributions:
         b = rng.uniform(-0.2, 0.6, 150)
         cos1, labels1 = self.split_cosines(a, b)
         cos2, labels2 = self.split_cosines(b, a)
-        o1 = row_scan([cos1.copy()], labels1, 0.0).overlap()
-        o2 = row_scan([cos2.copy()], labels2, 0.0).overlap()
-        assert abs(o1.overlap_rate - o2.overlap_rate) < 1e-12
+        o1, *_ = row_scan([cos1.copy()], labels1, 0.0).overlap()
+        o2, *_ = row_scan([cos2.copy()], labels2, 0.0).overlap()
+        assert abs(o1 - o2) < 1e-12
+
+
+class TestStatistics:
+    def test_one_misclassified_row_defines_only_the_overlap(self):
+        cos = np.array([[0.2, 0.5], [0.9, 0.1], [0.8, 0.0]])
+        stats, histograms = row_scan([cos.copy()], np.zeros(3, dtype=int), 0.0).statistics()
+        assert stats == {
+            "n_misclassified": 1, "pearson_r": None, "mean_pos_distance": None,
+            "mean_neg_distance": None, "overlap_rate": 0.0,
+            "hardness_note": "need >= 2 mis-classified samples, got 1", "overlap_note": None,
+        }
+        assert len(histograms) == 3
+
+    def test_no_misclassified_row_notes_both_statistics(self):
+        cos = np.array([[0.9, 0.1], [0.8, 0.0]])
+        stats, histograms = row_scan([cos.copy()], np.zeros(2, dtype=int), 0.0).statistics()
+        assert list(stats) == ["n_misclassified", "pearson_r", "mean_pos_distance",
+                               "mean_neg_distance", "overlap_rate", "hardness_note",
+                               "overlap_note"]
+        assert stats["n_misclassified"] == 0
+        assert stats["pearson_r"] is stats["overlap_rate"] is histograms is None
+        assert stats["hardness_note"] == "need >= 2 mis-classified samples, got 0"
+        assert stats["overlap_note"] == "no mis-classified rows among the 2 scanned"
+
+    def test_constant_series_is_noted(self):
+        cos = np.array([[0.5, 0.7, 0.0], [0.5, 0.7, -0.2]])
+        stats, _ = row_scan([cos.copy()], np.zeros(2, dtype=int), 0.0).statistics()
+        assert stats["n_misclassified"] == 2
+        assert stats["pearson_r"] is stats["mean_pos_distance"] is None
+        assert stats["hardness_note"] == "a distance series is constant"
+        assert stats["overlap_note"] == "no well-classified rows among the 2 scanned"
 
 
 class TestNearestNegativeHistogram:
@@ -241,12 +273,9 @@ def outcome(fn, *args, **kwargs):
 def assert_same(got, expected):
     if isinstance(expected, tuple) and isinstance(expected[0], type):
         assert got == expected
-    elif isinstance(expected, tuple):
+    else:
         for a, b in zip(got, expected, strict=True):
             np.testing.assert_array_equal(a, b)
-    else:
-        for key, value in vars(expected).items():
-            np.testing.assert_array_equal(getattr(got, key), value)
 
 
 # a few repeated values make ties within rows (argmax, nearest negative,
@@ -288,6 +317,7 @@ class TestRowScan:
         assert_same(outcome(scan.overlap, n_bins), outcome(whole.overlap, n_bins))
         assert_same(outcome(scan.nearest_histogram, n_bins),
                     outcome(whole.nearest_histogram, n_bins))
+        assert scan.statistics(n_bins)[0] == whole.statistics(n_bins)[0]
 
     # the label cosine ties the nearest negative: argmax keeps the first
     # maximum, so the label wins only from the lower index

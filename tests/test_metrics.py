@@ -208,16 +208,13 @@ class TestRank1:
         rng = np.random.default_rng(35)
         emb = rng.standard_normal((10, 6))
         labels = np.arange(10)
-        result = rank1_identification(emb, labels, emb, labels, np.zeros((0, 6)))
-        assert result.rank1_accuracy == 1.0
-        assert result.n_distractors == 0
+        assert rank1_identification(emb, labels, emb, labels, np.zeros((0, 6))) == 1.0
 
     def test_tie_prefers_gallery_entry(self):
         probe = np.array([[1.0, 0.0]])
         gallery = np.array([[1.0, 0.0], [0.0, 1.0]])
         distractor = np.array([[1.0, 0.0]])  # same direction, higher index
-        result = rank1_identification(probe, [7], gallery, [7, 8], distractor)
-        assert result.rank1_accuracy == 1.0
+        assert rank1_identification(probe, [7], gallery, [7, 8], distractor) == 1.0
 
     def test_missing_mate(self):
         with pytest.raises(MissingMate):
@@ -238,7 +235,7 @@ class TestRank1:
             expected = brute_force_rank1(probes.tolist(), probe_labels,
                                          gallery.tolist(), gallery_labels.tolist(),
                                          distractors.tolist())
-            assert abs(got.rank1_accuracy - expected) < 1e-12
+            assert abs(got - expected) < 1e-12
 
     def test_distractors_never_help(self):
         rng = np.random.default_rng(37)
@@ -248,7 +245,7 @@ class TestRank1:
         base = rank1_identification(probes, labels, gallery, labels, np.zeros((0, 6)))
         more = rank1_identification(probes, labels, gallery, labels,
                                     rng.standard_normal((50, 6)))
-        assert more.rank1_accuracy <= base.rank1_accuracy
+        assert more <= base
 
 
 class TestKfoldAccuracy:

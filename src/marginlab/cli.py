@@ -83,6 +83,15 @@ def _prepare_out_dir(experiment, out_override):
     return out_dir
 
 
+def _write_summary(out_dir, name, experiment, command, fields, started=None):
+    """Write ``name`` in ``out_dir``: the summary header of ``command``, then
+    ``fields``, then the seconds since ``started`` when it is given."""
+    payload = {**reports.summary_payload(experiment, command), **fields}
+    if started is not None:
+        payload["elapsed_seconds"] = round(time.monotonic() - started, 3)
+    reports.write_summary_json(os.path.join(out_dir, name), payload)
+
+
 def _load_config(args):
     """The ``--config`` file with ``--seed``, if given, set as in the file."""
     experiment = load_config(args.config)
@@ -161,23 +170,19 @@ def cmd_train(args) -> int:
 
     reports.write_loss_csv(os.path.join(out_dir, "loss.csv"), log)
     reports.write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"), log)
-    payload = reports.summary_payload(experiment, "train")
-    payload["diverged"] = diverged
-    payload["iterations"] = len(log.iterations)
-
+    fields = {"diverged": diverged, "iterations": len(log.iterations)}
     if not diverged:
         reports.save_checkpoint(os.path.join(out_dir, "checkpoint.txt"),
                                 result.model, result.class_weights, experiment,
                                 experiment.schedule.total_epochs)
-        payload["final_metrics"] = final_metrics(result, experiment)
-        payload["epochs"] = [dataclasses.asdict(diag) for diag in log.epochs]
-    payload["elapsed_seconds"] = round(time.monotonic() - started, 3)
-    reports.write_summary_json(os.path.join(out_dir, "summary.json"), payload)
+        fields["final_metrics"] = final_metrics(result, experiment)
+        fields["epochs"] = [dataclasses.asdict(diag) for diag in log.epochs]
+    _write_summary(out_dir, "summary.json", experiment, "train", fields, started)
 
     if diverged:
         return EXIT_DIVERGED
     print(f"train: {len(log.iterations)} iterations, artifacts in {out_dir}")
-    for key, value in payload["final_metrics"]["tar_at_far"].items():
+    for key, value in fields["final_metrics"]["tar_at_far"].items():
         print(f"  tar@far={key}: {value:.4f}")
     return EXIT_OK
 
@@ -195,11 +200,8 @@ def cmd_compare(args) -> int:
 
     reports.write_compare_csv(os.path.join(out_dir, "comparison.csv"),
                               experiment.eval.far_targets, rows)
-    payload = reports.summary_payload(experiment, "compare")
-    payload["variants"] = {token: m for token, m in rows}
-    payload["diverged"] = diverged
-    payload["elapsed_seconds"] = round(time.monotonic() - started, 3)
-    reports.write_summary_json(os.path.join(out_dir, "compare_summary.json"), payload)
+    _write_summary(out_dir, "compare_summary.json", experiment, "compare",
+                   {"variants": dict(rows), "diverged": diverged}, started)
     if diverged:
         return EXIT_DIVERGED
     print(f"compare: table in {out_dir}/comparison.csv")
@@ -234,11 +236,8 @@ def cmd_analyze(args) -> int:
     )
     if histograms:
         reports.write_histogram_csv(os.path.join(out_dir, "histogram.csv"), *histograms)
-    payload = reports.summary_payload(experiment, "analyze")
-    payload["epochs_trained"] = epochs_trained
-    payload["m0"] = m0
-    payload.update(statistics)
-    reports.write_summary_json(os.path.join(out_dir, "analyze_summary.json"), payload)
+    _write_summary(out_dir, "analyze_summary.json", experiment, "analyze",
+                   {"epochs_trained": epochs_trained, "m0": m0, **statistics})
     note = statistics["hardness_note"] or statistics["overlap_note"]
     if note:
         print(f"insufficient data: {note}", file=sys.stderr)
@@ -329,17 +328,11 @@ def cmd_dimstudy(args) -> int:
         print(f"insufficient data: {name}: {note}", file=sys.stderr)
 
     reports.write_dimstudy_csv(os.path.join(out_dir, "dimstudy.csv"), blocks)
-    payload = reports.summary_payload(experiment, "dimstudy")
-    payload["dims"] = dims
-    payload["pairwise_intersection"] = {
-        f"{a}:{b}": float(np.minimum(da, db).sum())
-        for i, (a, _, da) in enumerate(blocks)
-        for b, _, db in blocks[i + 1:]
-    }
-    payload["diverged"] = diverged
-    payload["undefined"] = undefined
-    payload["elapsed_seconds"] = round(time.monotonic() - started, 3)
-    reports.write_summary_json(os.path.join(out_dir, "dimstudy_summary.json"), payload)
+    intersections = {f"{a}:{b}": float(np.minimum(da, db).sum())
+                     for i, (a, _, da) in enumerate(blocks) for b, _, db in blocks[i + 1:]}
+    _write_summary(out_dir, "dimstudy_summary.json", experiment, "dimstudy",
+                   {"dims": dims, "pairwise_intersection": intersections,
+                    "diverged": diverged, "undefined": undefined}, started)
     if diverged:
         return EXIT_DIVERGED
     if undefined:
@@ -355,19 +348,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluation and hardness analyses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags of every command that trains from a config file
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", required=True, help="experiment config file")
+    run.add_argument("--out", default=None, help="override output_dir")
+    run.add_argument("--seed", type=int, default=None, help="override the top-level seed")
 
-    p_train = sub.add_parser("train", help="train one experiment from a config file")
-    p_train.add_argument("--config", required=True)
-    p_train.add_argument("--out", default=None, help="override output_dir")
-    p_train.add_argument("--seed", type=int, default=None, help="override the top-level seed")
+    p_train = sub.add_parser("train", parents=[run], help="train one experiment from a config file")
     p_train.set_defaults(func=cmd_train)
 
-    p_cmp = sub.add_parser("compare", help="train several loss variants on identical data")
-    p_cmp.add_argument("--config", required=True)
+    p_cmp = sub.add_parser("compare", parents=[run],
+                           help="train several loss variants on identical data")
     p_cmp.add_argument("--variants", required=True,
                        help="comma list of tokens, e.g. 'arcface,npcface:t=1;alpha=0'")
-    p_cmp.add_argument("--out", default=None)
-    p_cmp.add_argument("--seed", type=int, default=None)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_an = sub.add_parser("analyze", help="hardness correlation and overlap of a checkpoint")
@@ -394,11 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="negative control: corrupt one analytic gradient")
     p_gc.set_defaults(func=cmd_gradcheck)
 
-    p_dim = sub.add_parser("dimstudy", help="hard-negative histograms across embedding dims")
-    p_dim.add_argument("--config", required=True)
+    p_dim = sub.add_parser("dimstudy", parents=[run],
+                           help="hard-negative histograms across embedding dims")
     p_dim.add_argument("--dims", required=True, help="comma list, e.g. '8,16,32,64'")
-    p_dim.add_argument("--out", default=None)
-    p_dim.add_argument("--seed", type=int, default=None)
     p_dim.set_defaults(func=cmd_dimstudy)
 
     return parser

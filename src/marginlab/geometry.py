@@ -9,6 +9,9 @@ import numpy as np
 from .errors import DimensionMismatch, ZeroNorm
 
 DEFAULT_EPS = 1e-12
+# below this sin(theta), the slope of ``cos_shifted`` is its analytic limit
+# cos(m) instead of sin(theta + m)/sin(theta)
+SIN_LIMIT = 1e-12
 
 
 def normalize(v, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -53,20 +56,27 @@ def cosine_matrix(features: np.ndarray, weights: np.ndarray, out=None) -> np.nda
     return np.clip(product, -1.0, 1.0, out=product)
 
 
-def cos_shifted(c, m):
-    """cos(min(arccos(c) + m, pi)) without going through arccos.
+def cos_shifted(c, m, slope=False):
+    """cos(min(theta + m, pi)), theta = arccos(c), without going through
+    arccos, or with ``slope`` its derivative in c, sin(theta + m) / sin(theta).
 
     ``c`` is a cosine (scalar or array, pre-clamped into [-1, 1]) and ``m``
     a non-negative angle (scalar or broadcastable array, < pi). The summed
-    angle is clamped at pi, so the result saturates at -1 instead of
-    climbing back up the cosine's far side. m = 0 returns c bit-exactly.
+    angle is clamped at pi, so the value saturates at -1 instead of
+    climbing back up the cosine's far side and the slope is exactly zero
+    there. Where sin(theta) < ``SIN_LIMIT`` the slope is its analytic
+    limit cos(m). m = 0 returns c, and a slope of 1, bit-exactly.
     """
     c = np.asarray(c, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
+    cos_m, sin_m = np.cos(m), np.sin(m)
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - c * c))
-    shifted = c * np.cos(m) - sin_t * np.sin(m)
     # arccos(c) + m > pi  <=>  c < cos(pi - m)
-    out = np.where(c < np.cos(np.pi - m), -1.0, shifted)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    clamped = c < np.cos(np.pi - m)
+    if slope:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(clamped, 0.0,
+                           np.where(sin_t < SIN_LIMIT, cos_m, cos_m + c * sin_m / sin_t))
+    else:
+        out = np.where(clamped, -1.0, c * cos_m - sin_t * sin_m)
+    return float(out) if out.ndim == 0 else out

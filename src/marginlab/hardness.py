@@ -101,8 +101,8 @@ class RowScan:
         (pearson_r, mean_pos_distance, mean_neg_distance).
 
         For every mis-classified row: d_pos = 1 - cos(theta_iy) and
-        d_neg = 1 - max over j != y of cos(theta_ij) (nearest of *all* other
-        classes, masked or not). Raises InsufficientSamples below two rows and
+        d_neg = 1 - max over j != y of cos(theta_ij), the nearest non-label
+        class. Raises InsufficientSamples below two rows and
         DegenerateVariance when either series is constant.
         """
         n_mis = int(self.mis.sum())

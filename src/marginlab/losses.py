@@ -11,6 +11,9 @@ mv_softmax     arcface positive plus multiplicative emphasis s*(t*cos + t - 1)
 npcface        per-sample collaborative positive margin plus disentangled
                hard-negative emphasis s*(t*cos + alpha)
 
+``LossConfig._rule`` is the per-variant logit table; its ``label_logits``
+maps the label entries' cosines to their logits, or to their slopes.
+
 The hard mask and the collaborative margins are *frozen* auxiliaries: they
 are recomputed from the current cosines every iteration but treated as
 constants by every backward pass, so no gradient flows through the mining
@@ -41,9 +44,6 @@ EPSILON_RANGE = (1e-7, 1e-4)
 # benchmark's gradcheck workload (128 KB: +0.7 MB, 2 MB: +9 MB) and save
 # at most a fifth of a check's time.
 STACK_ENTRIES = 1 << 13
-# below this sin(theta), the arcface-style derivative factor uses its
-# analytic limit cos(margin) instead of sin(theta + m)/sin(theta)
-SIN_LIMIT = 1e-12
 
 
 class Variant(str, Enum):
@@ -60,7 +60,7 @@ MASKED_VARIANTS = (Variant.MV_SOFTMAX, Variant.NPCFACE)
 
 class _Rule(NamedTuple):
     """What a variant does to the logits (``LossConfig._rule``); every head
-    stage reads this one decision.
+    stage reads this one decision, forward and backward.
 
     mines          hard negatives (the frozen mask) get s*(t*cos + hard_offset)
     hard_offset    t - 1 (mv_softmax) or alpha (npcface)
@@ -80,11 +80,13 @@ class _Rule(NamedTuple):
         if self.collaborative and margins is None:
             raise ConfigMismatch("npcface requires collaborative margins")
 
-    def positive_margins(self, config, n, margins):
-        """Per-sample margin of the "arc" positive map."""
-        if self.collaborative:
-            return np.asarray(margins, dtype=np.float64)
-        return np.full(n, config.m)
+    def label_logits(self, config, pos_cos, margins, slope=False):
+        """Logits of the label entries from their cosines ``pos_cos``, or
+        with ``slope`` their derivative in the cosine."""
+        if self.positive == "cos":
+            return config.s if slope else config.s * (pos_cos - config.m)
+        m = margins if self.collaborative else config.m
+        return config.s * cos_shifted(pos_cos, m, slope)
 
 
 @dataclass(frozen=True)
@@ -206,15 +208,8 @@ def forward_logits(cosines, labels, config: LossConfig, mask=None, margins=None)
     if rule.mines:
         _put_hard(logits, mask, cosines,
                   lambda hard_cos: config.s * (config.t * hard_cos + rule.hard_offset))
-    if rule.positive is None:
-        return logits
-
-    pos_cos = cosines[rows, labels]
-    if rule.positive == "cos":
-        logits[rows, labels] = config.s * (pos_cos - config.m)
-    else:
-        m_pos = rule.positive_margins(config, n, margins)
-        logits[rows, labels] = config.s * cos_shifted(pos_cos, m_pos)
+    if rule.positive:
+        logits[rows, labels] = rule.label_logits(config, cosines[rows, labels], margins)
     return logits
 
 
@@ -258,21 +253,6 @@ def backward_logits(probs, labels) -> np.ndarray:
     return grad
 
 
-def _arc_positive_factor(pos_cos, m_pos, s):
-    """d/dcos of s*cos_shifted(cos, m): s*sin(theta+m)/sin(theta).
-
-    Uses the analytic limit s*cos(m) where sin(theta) vanishes and exactly
-    zero where the summed angle is clamped at pi.
-    """
-    pos_cos = np.asarray(pos_cos, dtype=np.float64)
-    m_pos = np.asarray(m_pos, dtype=np.float64)
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - pos_cos * pos_cos))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = s * (np.cos(m_pos) + pos_cos * np.sin(m_pos) / sin_t)
-    factor = np.where(sin_t < SIN_LIMIT, s * np.cos(m_pos), factor)
-    return np.where(pos_cos < np.cos(np.pi - m_pos), 0.0, factor)
-
-
 def backward_cosines(d_logits, cosines, labels, config: LossConfig, mask=None,
                      margins=None) -> np.ndarray:
     """Chain ``d_logits`` through the margined logit map: returns dL/dcos.
@@ -295,13 +275,9 @@ def backward_cosines(d_logits, cosines, labels, config: LossConfig, mask=None,
     if rule.mines:
         _put_hard(d_cosines, mask, d_logits,
                   lambda hard_d: hard_d * (config.s * config.t))
-
-    if rule.positive == "cos":
-        d_cosines[rows, labels] = d_logits[rows, labels] * config.s
-    elif rule.positive == "arc":
-        m_pos = rule.positive_margins(config, n, margins)
-        factor = _arc_positive_factor(cosines[rows, labels], m_pos, config.s)
-        d_cosines[rows, labels] = d_logits[rows, labels] * factor
+    if rule.positive:
+        d_cosines[rows, labels] = d_logits[rows, labels] * rule.label_logits(
+            config, cosines[rows, labels], margins, slope=True)
     return d_cosines
 
 
@@ -364,8 +340,9 @@ def head_forward(raw_features, raw_weights, labels, config: LossConfig, mask=Non
     """Batch loss from raw features and weights: returns (loss, HeadCache).
 
     When ``mask``/``margins`` are omitted they are mined from the current
-    cosines (the per-iteration semantics); pass the cached arrays to keep
-    them frozen across evaluations, e.g. for finite differences.
+    cosines (the per-iteration semantics). Pass them to evaluate the head
+    under given auxiliaries: a cache's frozen ones, or a chosen mask such as
+    an empty one, under which mv_softmax reduces to arcface.
     """
     features, weights = normalize_rows(raw_features), normalize_rows(raw_weights)
     cosines = cosine_matrix(features, weights)

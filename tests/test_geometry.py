@@ -83,11 +83,33 @@ def test_cos_shifted_zero_margin_exact():
     c = rng.uniform(-1.0, 1.0, 500)
     np.testing.assert_array_equal(cos_shifted(c, 0.0), c)
     assert cos_shifted(0.5, 0.0) == 0.5
+    np.testing.assert_array_equal(cos_shifted(np.append(c, [-1.0, 1.0]), 0.0, slope=True), 1.0)
+    assert cos_shifted(0.5, 0.0, slope=True) == 1.0
 
 
 def test_cos_shifted_clamps_at_pi():
     assert cos_shifted(-1.0, 0.5) == -1.0
     assert cos_shifted(-0.999, 3.0) == -1.0
+    assert cos_shifted(-1.0, 0.3, slope=True) == 0.0
+    assert cos_shifted(-0.999, 3.0, slope=True) == 0.0
+
+
+def test_cos_shifted_slope_at_zero_angle_is_cos_margin():
+    for m in (0.1, 0.5, 1.2, 3.0):
+        assert cos_shifted(1.0, m, slope=True) == np.cos(m)
+    m = np.array([0.2, 0.4])
+    np.testing.assert_array_equal(cos_shifted(np.ones(2), m, slope=True), np.cos(m))
+
+
+def test_cos_shifted_slope_matches_central_difference():
+    rng = np.random.default_rng(10)
+    c = rng.uniform(-0.95, 0.95, 2000)
+    m = rng.uniform(0.0, 1.5, 2000)
+    keep = np.arccos(c) + m < np.pi - 0.05      # away from the clamp at pi
+    c, m, h = c[keep], m[keep], 1e-6
+    numeric = (cos_shifted(c + h, m) - cos_shifted(c - h, m)) / (2 * h)
+    slope = cos_shifted(c, m, slope=True)
+    np.testing.assert_allclose(slope, numeric, rtol=1e-6, atol=1e-8)
 
 
 def test_cos_shifted_matches_arccos_form():

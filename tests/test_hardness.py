@@ -141,13 +141,20 @@ class TestHardnessCorrelation:
         assert abs(stats["mean_pos_distance"] - np.mean(d_pos)) < 1e-12
         assert abs(stats["mean_neg_distance"] - np.mean(d_neg)) < 1e-12
 
-    def test_nearest_negative_uses_all_classes(self):
-        # the nearest negative may be an unmasked class
-        cos = np.array([[0.6, 0.7, 0.5], [0.2, 0.5, 0.4]])
+    def test_nearest_negative_excludes_the_label_column(self):
+        # at m0 > 0 a row is hard while its label cosine is still the row
+        # maximum: cos(arccos 0.8 + 0.2) ~ 0.665 < 0.75 and
+        # cos(arccos 0.6 + 0.2) ~ 0.429 < 0.58, so d_neg must come from the
+        # nearest non-label class, not from the label column
+        cos = np.array([[0.8, 0.75, 0.1], [0.6, 0.3, 0.58]])
         labels = np.array([0, 0])
-        scan = row_scan([cos.copy()], labels, 0.0)
-        np.testing.assert_allclose(1.0 - scan.nearest[scan.mis], [0.3, 0.5], atol=1e-15)
-        assert abs(scan.statistics()[0]["mean_neg_distance"] - 0.4) < 1e-15
+        scan = row_scan([cos.copy()], labels, 0.2)
+        np.testing.assert_array_equal(scan.nearest, [0.75, 0.58])
+        np.testing.assert_array_equal(scan.mis, [True, True])
+        np.testing.assert_array_equal(scan.pred, labels)
+        stats = scan.statistics()[0]
+        assert abs(stats["mean_neg_distance"] - 0.335) < 1e-15
+        assert abs(stats["mean_pos_distance"] - 0.3) < 1e-15
 
 
 class TestSimilarityDistributions:

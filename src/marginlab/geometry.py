@@ -29,14 +29,16 @@ def normalize(v, eps: float = DEFAULT_EPS) -> np.ndarray:
     return v / n
 
 
-def normalize_rows(m, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Row-wise unit normalization of an (n, d) matrix."""
+def normalize_rows(m, eps: float = DEFAULT_EPS, *, return_norms=False):
+    """Row-wise unit normalization of an (n, d) matrix; with
+    ``return_norms`` also the row norms it divided by."""
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=1)
     if np.any(norms < eps):
         bad = int(np.argmin(norms))
         raise ZeroNorm(f"row {bad} has norm {norms[bad]:.3e} below eps={eps:.1e}", bad)
-    return m / norms[:, None]
+    unit = m / norms[:, None]
+    return (unit, norms) if return_norms else unit
 
 
 def cosine_matrix(features: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
@@ -56,9 +58,16 @@ def cosine_matrix(features: np.ndarray, weights: np.ndarray, out=None) -> np.nda
     return np.clip(product, -1.0, 1.0, out=product)
 
 
-def cos_shifted(c, m, slope=False):
+def angle_sine(c):
+    """sin(arccos(c)) of cosines pre-clamped into [-1, 1]."""
+    c = np.asarray(c, dtype=np.float64)
+    return np.sqrt(np.maximum(0.0, 1.0 - c * c))
+
+
+def cos_shifted(c, m, slope=False, sin_t=None):
     """cos(min(theta + m, pi)), theta = arccos(c), without going through
     arccos, or with ``slope`` its derivative in c, sin(theta + m) / sin(theta).
+    ``sin_t`` is ``angle_sine(c)`` when the caller already has it.
 
     ``c`` is a cosine (scalar or array, pre-clamped into [-1, 1]) and ``m``
     a non-negative angle (scalar or broadcastable array, < pi). The summed
@@ -70,7 +79,8 @@ def cos_shifted(c, m, slope=False):
     c = np.asarray(c, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     cos_m, sin_m = np.cos(m), np.sin(m)
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - c * c))
+    if sin_t is None:
+        sin_t = angle_sine(c)
     # arccos(c) + m > pi  <=>  c < cos(pi - m)
     clamped = c < np.cos(np.pi - m)
     if slope:

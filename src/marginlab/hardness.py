@@ -24,35 +24,42 @@ from .geometry import cos_shifted
 DEFAULT_BINS = 50
 
 
-def compute_mask(cosines, labels, m0: float) -> np.ndarray:
+def compute_mask(cosines, labels, m0: float, *, sin_t=None) -> np.ndarray:
     """Binary N x C mask: entry (i, j) marks sample i as hard to class j.
 
     M_ij = 1 iff j != y_i and cos(theta_ij) > cos(theta_iy + m0). The label
     column is always zero. m0 = 0 reduces to plain mis-classification.
+    ``sin_t`` is sin(theta_iy) when the caller already has it.
     """
     cosines = np.asarray(cosines, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
     n = cosines.shape[0]
     rows = np.arange(n)
-    threshold = cos_shifted(cosines[rows, labels], m0)
+    threshold = cos_shifted(cosines[rows, labels], m0, sin_t=sin_t)
     mask = cosines > np.asarray(threshold).reshape(n, 1)
     mask[rows, labels] = False
     return mask
 
 
-def collaborative_margin(cosines, mask, m0: float, m1: float) -> np.ndarray:
+def collaborative_margin(cosines, mask, m0: float, m1: float, *, hard=None) -> np.ndarray:
     """Per-sample positive margin m0 + m1 * mean(hard-negative cosines).
 
     Rows without hard negatives fall back to exactly m0. Values stay inside
     [m0 - m1, m0 + m1] because cosines are bounded by 1 in magnitude.
+    ``hard`` is ``np.flatnonzero(mask)`` when the caller already has it.
+    Each row's hard cosines are one run of the ascending flat indices, and
+    the run is summed by itself, so the cost follows the hard entries.
     """
     cosines = np.asarray(cosines, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    counts = np.count_nonzero(mask, axis=1)
-    sums = np.multiply(cosines, mask).sum(axis=1)
-    margins = np.full(cosines.shape[0], float(m0))
+    n, c = cosines.shape
+    if hard is None:
+        hard = np.flatnonzero(np.broadcast_to(mask, cosines.shape))
+    bounds = np.searchsorted(hard, np.arange(n + 1) * c)
+    counts = np.diff(bounds)
     has_hard = counts > 0
-    margins[has_hard] = m0 + (sums[has_hard] / counts[has_hard]) * m1
+    sums = np.add.reduceat(cosines.take(hard), bounds[:-1][has_hard])
+    margins = np.full(n, float(m0))
+    margins[has_hard] = m0 + (sums / counts[has_hard]) * m1
     return margins
 
 

@@ -23,9 +23,15 @@ checks and ``loss_and_gradients`` all call them. ``central_difference``
 checks them with the auxiliaries held fixed: ``stacked_losses`` runs the
 same logit map, softmax and per-row loss over many perturbed copies of a
 batch in one pass. The head returns fresh arrays on every call.
+
+``head_forward`` checks the labels once and turns the mask into flat hard
+indices once: the margins sum each row's run of them, and while the hard
+entries are the minority (the sparse route) both hard-entry blends put
+their values at those indices. The ``HeadIndex`` carries them, with the
+label entries' flat indices, to every later stage.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -33,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigMismatch, DimensionMismatch
-from .geometry import cos_shifted, cosine_matrix, normalize_rows
+from .geometry import angle_sine, cos_shifted, cosine_matrix, normalize_rows
 from .hardness import collaborative_margin, compute_mask
 
 PROB_FLOOR = 1e-300
@@ -80,13 +86,14 @@ class _Rule(NamedTuple):
         if self.collaborative and margins is None:
             raise ConfigMismatch("npcface requires collaborative margins")
 
-    def label_logits(self, config, pos_cos, margins, slope=False):
+    def label_logits(self, config, pos_cos, margins, slope=False, sin_t=None):
         """Logits of the label entries from their cosines ``pos_cos``, or
-        with ``slope`` their derivative in the cosine."""
+        with ``slope`` their derivative in the cosine; ``sin_t`` as in
+        ``cos_shifted``."""
         if self.positive == "cos":
             return config.s if slope else config.s * (pos_cos - config.m)
         m = margins if self.collaborative else config.m
-        return config.s * cos_shifted(pos_cos, m, slope)
+        return config.s * cos_shifted(pos_cos, m, slope, sin_t)
 
 
 @dataclass(frozen=True)
@@ -160,56 +167,86 @@ class GradientBundle:
     d_weights: np.ndarray
 
 
-def _check_labels(labels, n_rows, n_cols):
-    labels = np.asarray(labels)
-    if labels.shape != (n_rows,):
-        raise DimensionMismatch(f"labels shape {labels.shape}, expected ({n_rows},)")
-    if labels.size and (labels.min() < 0 or labels.max() >= n_cols):
-        raise DimensionMismatch("label out of range for the class count")
-    return labels.astype(np.intp)
+class HeadIndex(NamedTuple):
+    """Flat positions in one head call's N x C matrices, found once per call:
+    each row's label entry (row * C + label) and, on the sparse route, the
+    hard entries (else None). ``sin`` is sin(theta) of the label entries,
+    shared by the mask threshold, the label logits and their slopes; None
+    lets a stage take it from its cosines."""
+
+    label: np.ndarray
+    sin: np.ndarray | None
+    hard: np.ndarray | None
 
 
-# Below this share of hard entries the hard values are formed at their flat
-# indices only; above it, forming them for the whole matrix and copying them
-# in under the mask is faster (measured on training masks at 0.0002-0.96;
-# BENCH_9.json has this switch against one ``where=`` blend end to end).
+# Below this share of hard entries (the sparse route) a stage maps every entry
+# as an easy one and puts the hard ones back at their flat indices; at or
+# above it (the dense route), the other way round, with the easy indices
+# taken from the mask where needed, so that no cache holds a large index.
+# An entry gets the same float operations either way.
 _SPARSE_HARD = 0.5
 
 
-def _put_hard(target, mask, source, hard_map):
-    """Overwrite the masked entries of ``target`` with ``hard_map`` of the
-    same entries of ``source``. ``hard_map`` is elementwise, so every entry
-    gets the same float operations on either route."""
+def _route(index, mask, hard):
+    """``index`` with the hard entries ``hard`` (``np.flatnonzero(mask)``)
+    on the sparse route."""
+    return index._replace(hard=hard) if hard.size < _SPARSE_HARD * mask.size else index
+
+
+def _head_index(shape, labels, mask=None) -> HeadIndex:
+    """The ``HeadIndex`` of unchecked labels and mask; raises
+    DimensionMismatch when either does not fit an N x C ``shape``."""
+    n, c = shape
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise DimensionMismatch(f"labels shape {labels.shape}, expected ({n},)")
+    if labels.size and (labels.min() < 0 or labels.max() >= c):
+        raise DimensionMismatch("label out of range for the class count")
+    index = HeadIndex(np.arange(n) * c + labels.astype(np.intp), None, None)
+    if mask is None:
+        return index
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != target.shape:
-        raise DimensionMismatch(f"mask shape {mask.shape}, expected {target.shape}")
-    if np.count_nonzero(mask) < _SPARSE_HARD * mask.size:
-        hard = np.flatnonzero(mask)
-        np.put(target, hard, hard_map(np.take(source, hard)))
+    if mask.shape != shape:
+        raise DimensionMismatch(f"mask shape {mask.shape}, expected {shape}")
+    return _route(index, mask, np.flatnonzero(mask))
+
+
+def _blend(source, mask, index, s, hard_map):
+    """Fresh array of ``source * s`` at the easy entries and ``hard_map`` of
+    ``source`` at the hard ones: the majority's elementwise map runs over
+    the whole matrix, the minority's values are put at their indices."""
+    if index.hard is not None:
+        out = source * s
+        np.put(out, index.hard, hard_map(np.take(source, index.hard)))
     else:
-        np.putmask(target, mask, hard_map(source))
+        out = hard_map(source)
+        easy = np.flatnonzero(~np.asarray(mask, dtype=bool))
+        values = np.take(source, easy)
+        values *= s
+        np.put(out, easy, values)
+    return out
 
 
-def forward_logits(cosines, labels, config: LossConfig, mask=None, margins=None) -> np.ndarray:
+def forward_logits(cosines, labels, config: LossConfig, mask=None, margins=None, *,
+                   index=None) -> np.ndarray:
     """Margined logit matrix for one batch.
 
     ``mask`` (N x C binary, zero on the label column) and ``margins``
     (length N) are consulted only by mv_softmax / npcface; the other
-    variants ignore them.
+    variants ignore them. ``index`` is the ``HeadIndex`` of these labels
+    and this mask; without it they are checked here.
     """
     cosines = np.asarray(cosines, dtype=np.float64)
-    n, c = cosines.shape
-    labels = _check_labels(labels, n, c)
-    rows = np.arange(n)
     rule = config._rule
     rule.require(config, mask, margins)
-
-    logits = config.s * cosines
-    if rule.mines:
-        _put_hard(logits, mask, cosines,
-                  lambda hard_cos: config.s * (config.t * hard_cos + rule.hard_offset))
+    if index is None:
+        index = _head_index(cosines.shape, labels, mask if rule.mines else None)
+    logits = config.s * cosines if not rule.mines else _blend(
+        cosines, mask, index, config.s,
+        lambda hard_cos: config.s * (config.t * hard_cos + rule.hard_offset))
     if rule.positive:
-        logits[rows, labels] = rule.label_logits(config, cosines[rows, labels], margins)
+        np.put(logits, index.label, rule.label_logits(
+            config, cosines.take(index.label), margins, sin_t=index.sin))
     return logits
 
 
@@ -225,59 +262,53 @@ def softmax_probabilities(logits, out=None) -> np.ndarray:
     return probs
 
 
-def row_losses(probs, labels) -> np.ndarray:
-    """Cross-entropy -log p_y of every row; probabilities floored at 1e-300."""
+def row_losses(probs, labels, *, index=None) -> np.ndarray:
+    """Cross-entropy -log p_y of every row; probabilities floored at 1e-300.
+    ``index`` as in ``forward_logits``."""
     probs = np.asarray(probs, dtype=np.float64)
-    n, c = probs.shape
-    labels = _check_labels(labels, n, c)
-    return -np.log(np.maximum(probs[np.arange(n), labels], PROB_FLOOR))
+    index = _head_index(probs.shape, labels) if index is None else index
+    return -np.log(np.maximum(probs.take(index.label), PROB_FLOOR))
 
 
-def loss_value(probs, labels) -> float:
+def loss_value(probs, labels, *, index=None) -> float:
     """Mean cross-entropy over the rows (``row_losses``)."""
-    return float(np.mean(row_losses(probs, labels)))
+    return float(np.mean(row_losses(probs, labels, index=index)))
 
 
-def backward_logits(probs, labels) -> np.ndarray:
+def backward_logits(probs, labels, *, index=None) -> np.ndarray:
     """Gradient of the mean cross-entropy with respect to the logits.
 
     Entry (i, k) = (p_ik - [k == y_i]) / N, so every row sums to zero.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    n, c = probs.shape
-    labels = _check_labels(labels, n, c)
-    rows = np.arange(n)
-    p_y = probs[rows, labels]
+    index = _head_index(probs.shape, labels) if index is None else index
+    n = probs.shape[0]
     grad = probs / n
-    grad[rows, labels] = (p_y - 1.0) / n
+    np.put(grad, index.label, (probs.take(index.label) - 1.0) / n)
     return grad
 
 
 def backward_cosines(d_logits, cosines, labels, config: LossConfig, mask=None,
-                     margins=None) -> np.ndarray:
+                     margins=None, *, index=None) -> np.ndarray:
     """Chain ``d_logits`` through the margined logit map: returns dL/dcos.
 
     The mask and the collaborative margins must be the same frozen arrays
-    that produced the matching forward logits.
+    that produced the matching forward logits; ``index`` as in
+    ``forward_logits``.
     """
     d_logits = np.asarray(d_logits, dtype=np.float64)
     cosines = np.asarray(cosines, dtype=np.float64)
-    n, c = cosines.shape
     if d_logits.shape != cosines.shape:
         raise DimensionMismatch(f"d_logits shape {d_logits.shape}, expected {cosines.shape}")
-    labels = _check_labels(labels, n, c)
-    rows = np.arange(n)
-
     rule = config._rule
     rule.require(config, mask, margins)
-
-    d_cosines = d_logits * config.s
-    if rule.mines:
-        _put_hard(d_cosines, mask, d_logits,
-                  lambda hard_d: hard_d * (config.s * config.t))
+    if index is None:
+        index = _head_index(cosines.shape, labels, mask if rule.mines else None)
+    d_cosines = d_logits * config.s if not rule.mines else _blend(
+        d_logits, mask, index, config.s, lambda hard_d: hard_d * (config.s * config.t))
     if rule.positive:
-        d_cosines[rows, labels] = d_logits[rows, labels] * rule.label_logits(
-            config, cosines[rows, labels], margins, slope=True)
+        np.put(d_cosines, index.label, d_logits.take(index.label) * rule.label_logits(
+            config, cosines.take(index.label), margins, slope=True, sin_t=index.sin))
     return d_cosines
 
 
@@ -286,54 +317,71 @@ def backward_parameters(d_cosines, cache: "HeadCache"):
 
     cos_ij = <x_i/|x_i|, w_j/|w_j|>, so
         dcos/dx_i = (w_hat_j - cos_ij * x_hat_i) / |x_i|
-    and symmetrically for w_j. The unit rows and cosines are the ones
-    ``head_forward`` cached. Returns (d_features, d_weights).
+    and symmetrically for w_j, from the unit rows and row norms
+    ``head_forward`` cached. The mixes sum_j g_ij cos_ij = <x_hat_i, (G W_hat)_i>
+    and sum_i g_ij cos_ij = <w_hat_j, (G^T X_hat)_j> come from the two products
+    the gradients need anyway. Returns (d_features, d_weights).
     """
     d_cosines = np.asarray(d_cosines, dtype=np.float64)
-    x_hat, w_hat, cos = cache.features, cache.weights, cache.cosines
-    x_norms = np.linalg.norm(cache.raw_features, axis=1)
-    w_norms = np.linalg.norm(cache.raw_weights, axis=1)
-
-    weighted = d_cosines * cos
-    row_mix = np.sum(weighted, axis=1)
-    d_features = (d_cosines @ w_hat - row_mix[:, None] * x_hat) / x_norms[:, None]
-    col_mix = np.sum(weighted, axis=0)
-    d_weights = (d_cosines.T @ x_hat - col_mix[:, None] * w_hat) / w_norms[:, None]
+    x_hat, w_hat = cache.features, cache.weights
+    pulled_x = d_cosines @ w_hat
+    pulled_w = d_cosines.T @ x_hat
+    row_mix = np.einsum("ij,ij->i", pulled_x, x_hat)
+    col_mix = np.einsum("ij,ij->i", pulled_w, w_hat)
+    d_features = (pulled_x - row_mix[:, None] * x_hat) / cache.feature_norms[:, None]
+    d_weights = (pulled_w - col_mix[:, None] * w_hat) / cache.weight_norms[:, None]
     return d_features, d_weights
 
 
-def frozen_auxiliaries(cosines, labels, config: LossConfig):
-    """Mask and collaborative margins for the variants that need them.
-
-    Returns (None, None) for the plain variants, so the result can be fed
-    straight into the forward/backward calls.
+def frozen_auxiliaries(cosines, labels, config: LossConfig, *, sin_t=None, return_hard=False):
+    """Mask and collaborative margins for the variants that need them, and
+    with ``return_hard`` the mask's ``np.flatnonzero``; Nones for the plain
+    variants. ``sin_t`` is sin(theta) of the label entries, if known.
     """
     rule = config._rule
-    if not rule.mines:
-        return None, None
-    mask = compute_mask(cosines, labels, config.m0)
-    if rule.collaborative:
-        margins = collaborative_margin(cosines, mask, config.m0, config.m1)
-    else:
-        margins = None
-    return mask, margins
+    mask = margins = hard = None
+    if rule.mines:
+        mask = compute_mask(cosines, labels, config.m0, sin_t=sin_t)
+        hard = np.flatnonzero(mask)
+        if rule.collaborative:
+            margins = collaborative_margin(cosines, mask, config.m0, config.m1, hard=hard)
+    return (mask, margins, hard) if return_hard else (mask, margins)
 
 
 @dataclass
 class HeadCache:
-    """What ``head_backward`` reads from the forward pass: the raw inputs and
-    their unit rows, the cosines, the frozen auxiliaries and the softmax probabilities."""
+    """What ``head_backward`` reads from the forward pass: the unit rows and
+    raw row norms of both inputs, the cosines, the frozen auxiliaries and
+    their ``HeadIndex``, and the softmax probabilities."""
 
-    raw_features: np.ndarray
-    raw_weights: np.ndarray
     features: np.ndarray
     weights: np.ndarray
+    feature_norms: np.ndarray
+    weight_norms: np.ndarray
     labels: np.ndarray
     config: LossConfig
     cosines: np.ndarray
     mask: np.ndarray | None
     margins: np.ndarray | None
+    index: HeadIndex
     probs: np.ndarray
+    _tiles: tuple | None = field(default=None, repr=False)
+
+    def tiled(self, groups):
+        """Labels, mask, margins and ``HeadIndex`` (without the sines) of
+        ``groups`` copies of the batch stacked row-wise, tiled once for the
+        most copies asked for so far; fewer copies read a prefix."""
+        n, c = self.cosines.shape
+        flats = self.index.label, self.index.hard
+        if self._tiles is None or self._tiles[0] < groups:
+            shifts = np.arange(groups)[:, None] * (n * c)      # flat offset of each copy
+            self._tiles = (groups, [None if a is None else np.concatenate([a] * groups)
+                                    for a in (self.labels, self.mask, self.margins)],
+                           [None if a is None else (shifts + a).ravel() for a in flats])
+        _, rows, flat = self._tiles
+        labels, mask, margins = (None if t is None else t[:groups * n] for t in rows)
+        label, hard = (None if t is None else t[:groups * a.size] for t, a in zip(flat, flats))
+        return labels, mask, margins, HeadIndex(label, None, hard)
 
 
 def head_forward(raw_features, raw_weights, labels, config: LossConfig, mask=None, margins=None):
@@ -342,25 +390,35 @@ def head_forward(raw_features, raw_weights, labels, config: LossConfig, mask=Non
     When ``mask``/``margins`` are omitted they are mined from the current
     cosines (the per-iteration semantics). Pass them to evaluate the head
     under given auxiliaries: a cache's frozen ones, or a chosen mask such as
-    an empty one, under which mv_softmax reduces to arcface.
+    an empty one, under which mv_softmax reduces to arcface. The labels, and
+    a given mask, are checked once, here.
     """
-    features, weights = normalize_rows(raw_features), normalize_rows(raw_weights)
+    features, feature_norms = normalize_rows(raw_features, return_norms=True)
+    weights, weight_norms = normalize_rows(raw_weights, return_norms=True)
     cosines = cosine_matrix(features, weights)
-    if mask is None and config._rule.mines:
-        mask, margins = frozen_auxiliaries(cosines, labels, config)
-    logits = forward_logits(cosines, labels, config, mask, margins)
+    rule = config._rule
+    index = _head_index(cosines.shape, labels, mask if rule.mines else None)
+    if rule.mines or rule.positive == "arc":
+        index = index._replace(sin=angle_sine(cosines.take(index.label)))
+    if mask is None and rule.mines:
+        mask, margins, hard = frozen_auxiliaries(cosines, labels, config, sin_t=index.sin,
+                                                 return_hard=True)
+        index = _route(index, mask, hard)
+        del hard    # the dense route keeps no hard indices
+    logits = forward_logits(cosines, labels, config, mask, margins, index=index)
     probs = softmax_probabilities(logits, out=logits)
-    loss = loss_value(probs, labels)
-    cache = HeadCache(raw_features, raw_weights, features, weights, labels, config,
-                      cosines, mask, margins, probs)
+    loss = loss_value(probs, labels, index=index)
+    cache = HeadCache(features, weights, feature_norms, weight_norms, labels, config,
+                      cosines, mask, margins, index, probs)
     return loss, cache
 
 
 def head_backward(loss: float, cache: HeadCache) -> GradientBundle:
     """Gradients of ``loss`` at every stage, with the cached auxiliaries frozen."""
-    d_logits = backward_logits(cache.probs, cache.labels)
+    index = cache.index
+    d_logits = backward_logits(cache.probs, cache.labels, index=index)
     d_cosines = backward_cosines(d_logits, cache.cosines, cache.labels, cache.config,
-                                 cache.mask, cache.margins)
+                                 cache.mask, cache.margins, index=index)
     d_features, d_weights = backward_parameters(d_cosines, cache)
     return GradientBundle(loss, d_logits, d_cosines, d_features, d_weights)
 
@@ -392,14 +450,10 @@ def stacked_losses(cache: HeadCache, features=None, weights=None) -> np.ndarray:
         cosines = cosine_matrix(cache.features, normalize_rows(weights))
         cosines = cosines.reshape(n, -1, c).swapaxes(0, 1).reshape(-1, c)
     groups = cosines.shape[0] // n
-
-    def tiled(array):
-        return None if array is None else np.concatenate([np.asarray(array)] * groups)
-
-    labels = tiled(cache.labels)
-    logits = forward_logits(cosines, labels, cache.config, tiled(cache.mask), tiled(cache.margins))
+    labels, mask, margins, index = cache.tiled(groups)
+    logits = forward_logits(cosines, labels, cache.config, mask, margins, index=index)
     probs = softmax_probabilities(logits, out=logits)
-    return row_losses(probs, labels).reshape(groups, n).mean(axis=1)
+    return row_losses(probs, labels, index=index).reshape(groups, n).mean(axis=1)
 
 
 def check_epsilon(epsilon: float) -> None:

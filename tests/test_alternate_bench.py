@@ -1,0 +1,72 @@
+"""The BENCH-file summary and claim verdict of ``tools/alternate_bench.py``,
+on synthetic result lines (no benchmark runs)."""
+
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
+import alternate_bench  # noqa: E402
+
+
+def result(run_s, setup_s=0.2, rss=58.0, failed=0):
+    metrics = {"setup_s": setup_s, "run_s": run_s, "peak_rss_mb": rss}
+    return {"correct": failed == 0, "attempted": 3, "failed": failed,
+            "metrics": {name: {"value": value, "unit": "s"} for name, value in metrics.items()}}
+
+
+def runs_of(parent, change, workload="corr1000"):
+    """Alternated runs: the parent first at even seeds, the change first at odd."""
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        sides = [("parent", p), ("change", c)]
+        for side, run_s in (sides if seed % 2 == 0 else sides[::-1]):
+            runs.append({"side": side, "workload": workload, "seed": seed,
+                         "result": result(run_s)})
+    return runs
+
+
+PARENT = [7.0, 7.2, 7.4, 7.6, 7.8, 8.0, 8.2, 8.4, 8.6, 8.8]
+
+
+def test_summary_pairs_runs_by_seed_whatever_ran_first():
+    change = [p * 0.75 for p in PARENT]
+    summary = alternate_bench.summarize(runs_of(PARENT, change))
+    run_s = summary["corr1000"]["run_s"]
+    assert run_s["pair_ratios"] == [0.75] * 10
+    assert run_s["median_pair_ratio"] == 0.75
+    assert run_s["pairs_change_lower"] == "10 of 10"
+    assert run_s["parent_median"] == 7.9
+    assert run_s["parent_quartiles"] == [7.45, 7.9, 8.35]
+    assert summary["corr1000"]["setup_s"]["pairs_change_lower"] == "0 of 10"    # ties
+    assert summary["corr1000"]["failed"] == {"parent": [0] * 10, "change": [0] * 10}
+
+
+def test_unpaired_runs_are_left_out():
+    runs = runs_of(PARENT[:4], [7.0] * 4)
+    runs.append({"side": "parent", "workload": "corr1000", "seed": 9, "result": result(1.0)})
+    assert alternate_bench.summarize(runs)["corr1000"]["run_s"]["pair_ratios"] == [
+        1.0, 0.972, 0.946, 0.921]
+
+
+@pytest.mark.parametrize("change, met, won", [
+    ([p * 0.75 for p in PARENT], True, "10 of 10"),
+    # nine of ten pairs won and a gap wider than the parent's IQR
+    ([p * 0.75 for p in PARENT[:9]] + [9.0], True, "9 of 10"),
+    # eight of ten pairs won
+    ([p * 0.75 for p in PARENT[:8]] + [9.0, 9.0], False, "8 of 10"),
+    # every pair won, but by less than the parent's IQR (0.9 s)
+    ([p - 0.5 for p in PARENT], False, "10 of 10"),
+])
+def test_verdict_follows_the_claim_rule(change, met, won):
+    summary = alternate_bench.summarize(runs_of(PARENT, change))
+    verdict = alternate_bench.verdict(summary, "corr1000", "run_s")
+    assert verdict["met"] is met
+    assert verdict["pairs_won"] == won
+    assert verdict["parent_iqr"] == 0.9
+
+
+def test_parse_seeds():
+    assert alternate_bench.parse_seeds("0-3,7") == [0, 1, 2, 3, 7]
+    assert alternate_bench.parse_seeds("40") == [40]

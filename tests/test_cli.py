@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 
@@ -9,6 +10,7 @@ from marginlab import cli, reports
 from marginlab.cli import main
 from marginlab.config import load_config
 from marginlab.errors import ConfigParseError
+from marginlab.losses import PROB_FLOOR
 from marginlab.reports import load_checkpoint, write_compare_csv, write_dimstudy_csv
 from marginlab.train import train
 
@@ -322,6 +324,19 @@ class TestCompareCommand:
         assert summary["diverged"] == ["norm_softmax:s=1e300"]
         assert list(summary["variants"]) == ["cosface", "arcface"]
         assert multiprocessing.active_children() == []
+
+    def test_saturated_scale_reports_the_floored_loss(self, config_path, tmp_path):
+        # at s = 1e154 every logit row saturates: p_y underflows and each row
+        # loss is capped at -log(PROB_FLOOR); the run still finishes
+        out = str(tmp_path / "cmp")
+        with np.errstate(all="ignore"):
+            assert main(["compare", "--config", config_path, "--out", out,
+                         "--variants", "cosface,arcface:s=1e154,arcface"]) == 0
+        summary = read_json(os.path.join(out, "compare_summary.json"))
+        assert list(summary["variants"]) == ["cosface", "arcface:s=1e154", "arcface"]
+        floored = summary["variants"]["arcface:s=1e154"]["final_mean_loss"]
+        # equal up to the rounding of the per-epoch mean over iterations
+        assert floored == pytest.approx(-math.log(PROB_FLOOR), rel=1e-15)
 
     def test_insufficient_data_in_a_worker_exit_code(self, tmp_path, capsys):
         path = tmp_path / "pairs.cfg"

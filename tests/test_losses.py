@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from marginlab import losses
 from marginlab.errors import ConfigMismatch, DimensionMismatch
 from marginlab.geometry import cos_shifted, normalize_rows
 from marginlab.hardness import collaborative_margin, compute_mask
@@ -17,6 +18,7 @@ from marginlab.losses import (
     finite_difference_check,
     forward_logits,
     frozen_auxiliaries,
+    head_backward,
     head_forward,
     loss_and_gradients,
     loss_value,
@@ -491,7 +493,7 @@ class TestFrozenAuxiliaries:
 BUNDLE_ARRAYS = ("d_logits", "d_cosines", "d_features", "d_weights")
 
 
-class TestHeadWorkspace:
+class TestFreshHeadArrays:
     """The head has no reused buffers: every call returns arrays of its own."""
 
     def test_fresh_calls_share_no_memory(self):
@@ -503,3 +505,54 @@ class TestHeadWorkspace:
         for a in BUNDLE_ARRAYS:
             for b in BUNDLE_ARRAYS:
                 assert not np.shares_memory(getattr(first, a), getattr(second, b)), (a, b)
+
+
+def forced_route(monkeypatch, route):
+    """Make every head call take the ``route`` ("sparse" or "dense")."""
+    monkeypatch.setattr(losses, "_SPARSE_HARD", 2.0 if route == "sparse" else 0.0)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.001, 0.5, 1.0], ids=["empty", "0.001", "0.5", "all"])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_routes_give_the_same_bits(variant, density, monkeypatch):
+    # the sparse route maps the hard entries at their indices, the dense
+    # route maps every entry as hard and puts the easy ones back; each entry
+    # gets the same float operations either way
+    rng = np.random.default_rng(36)
+    n, c, d = 40, 50, 6
+    x, w = rng.standard_normal((n, d)), rng.standard_normal((c, d))
+    labels = rng.integers(0, c, n)
+    mask = rng.random((n, c)) < density
+    mask[np.arange(n), labels] = False
+    cfg = npc_config(variant=variant, s=12.0)
+    margins = collaborative_margin(normalize_rows(x) @ normalize_rows(w).T, mask, cfg.m0, cfg.m1)
+    bundles = []
+    for route in ("sparse", "dense"):
+        forced_route(monkeypatch, route)
+        bundles.append(loss_and_gradients(x, w, labels, cfg, mask, margins))
+    sparse, dense = bundles
+    assert sparse.loss == dense.loss
+    for name in BUNDLE_ARRAYS:
+        assert getattr(sparse, name).tobytes() == getattr(dense, name).tobytes(), name
+
+
+@pytest.mark.parametrize("variant", losses.MASKED_VARIANTS)
+def test_routes_give_the_same_bits_on_mined_masks(variant, monkeypatch):
+    # mined masks at both ends of training: a crowded batch that is mostly
+    # hard, and a well separated one with a few hard entries
+    rng = np.random.default_rng(37)
+    n, c, d = 64, 200, 8
+    w = rng.standard_normal((c, d))
+    labels = rng.integers(0, c, n)
+    for spread in (5.0, 0.05):
+        x = w[labels] + spread * rng.standard_normal((n, d))
+        cfg = npc_config(variant=variant, s=24.0, m0=0.1, m1=0.1, t=1.05, alpha=0.1)
+        bundles = []
+        for route in ("sparse", "dense"):
+            forced_route(monkeypatch, route)
+            loss, cache = head_forward(x, w, labels, cfg)
+            assert (cache.index.hard is None) == (route == "dense")
+            bundles.append(head_backward(loss, cache))
+        for name in ("loss",) + BUNDLE_ARRAYS:
+            assert np.asarray(getattr(bundles[0], name)).tobytes() == \
+                np.asarray(getattr(bundles[1], name)).tobytes(), (spread, name)

@@ -58,16 +58,9 @@ def cosine_matrix(features: np.ndarray, weights: np.ndarray, out=None) -> np.nda
     return np.clip(product, -1.0, 1.0, out=product)
 
 
-def angle_sine(c):
-    """sin(arccos(c)) of cosines pre-clamped into [-1, 1]."""
-    c = np.asarray(c, dtype=np.float64)
-    return np.sqrt(np.maximum(0.0, 1.0 - c * c))
-
-
-def cos_shifted(c, m, slope=False, sin_t=None):
+def cos_shifted(c, m, slope=False):
     """cos(min(theta + m, pi)), theta = arccos(c), without going through
     arccos, or with ``slope`` its derivative in c, sin(theta + m) / sin(theta).
-    ``sin_t`` is ``angle_sine(c)`` when the caller already has it.
 
     ``c`` is a cosine (scalar or array, pre-clamped into [-1, 1]) and ``m``
     a non-negative angle (scalar or broadcastable array, < pi). The summed
@@ -79,8 +72,7 @@ def cos_shifted(c, m, slope=False, sin_t=None):
     c = np.asarray(c, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     cos_m, sin_m = np.cos(m), np.sin(m)
-    if sin_t is None:
-        sin_t = angle_sine(c)
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - c * c))
     # arccos(c) + m > pi  <=>  c < cos(pi - m)
     clamped = c < np.cos(np.pi - m)
     if slope:

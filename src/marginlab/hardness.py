@@ -24,18 +24,17 @@ from .geometry import cos_shifted
 DEFAULT_BINS = 50
 
 
-def compute_mask(cosines, labels, m0: float, *, sin_t=None) -> np.ndarray:
+def compute_mask(cosines, labels, m0: float) -> np.ndarray:
     """Binary N x C mask: entry (i, j) marks sample i as hard to class j.
 
     M_ij = 1 iff j != y_i and cos(theta_ij) > cos(theta_iy + m0). The label
     column is always zero. m0 = 0 reduces to plain mis-classification.
-    ``sin_t`` is sin(theta_iy) when the caller already has it.
     """
     cosines = np.asarray(cosines, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
     n = cosines.shape[0]
     rows = np.arange(n)
-    threshold = cos_shifted(cosines[rows, labels], m0, sin_t=sin_t)
+    threshold = cos_shifted(cosines[rows, labels], m0)
     mask = cosines > np.asarray(threshold).reshape(n, 1)
     mask[rows, labels] = False
     return mask

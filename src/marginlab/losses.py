@@ -24,11 +24,12 @@ checks them with the auxiliaries held fixed: ``stacked_losses`` runs the
 same logit map, softmax and per-row loss over many perturbed copies of a
 batch in one pass. The head returns fresh arrays on every call.
 
-``head_forward`` checks the labels once and turns the mask into flat hard
-indices once: the margins sum each row's run of them, and while the hard
-entries are the minority (the sparse route) both hard-entry blends put
-their values at those indices. The ``HeadIndex`` carries them, with the
-label entries' flat indices, to every later stage.
+``head_forward`` checks the labels once and takes the mask's flat indices
+once, on its minority side: the hard entries while they are under half
+(the sparse route, where the margins sum them too), else the easy ones
+(the dense route). Both hard-entry blends map the majority over the whole
+matrix and put the minority's values at those indices. The ``HeadIndex``
+carries them, with the label entries' flat indices, to every later stage.
 """
 
 from dataclasses import dataclass, field
@@ -39,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigMismatch, DimensionMismatch
-from .geometry import angle_sine, cos_shifted, cosine_matrix, normalize_rows
+from .geometry import cos_shifted, cosine_matrix, normalize_rows
 from .hardness import collaborative_margin, compute_mask
 
 PROB_FLOOR = 1e-300
@@ -86,14 +87,13 @@ class _Rule(NamedTuple):
         if self.collaborative and margins is None:
             raise ConfigMismatch("npcface requires collaborative margins")
 
-    def label_logits(self, config, pos_cos, margins, slope=False, sin_t=None):
+    def label_logits(self, config, pos_cos, margins, slope=False):
         """Logits of the label entries from their cosines ``pos_cos``, or
-        with ``slope`` their derivative in the cosine; ``sin_t`` as in
-        ``cos_shifted``."""
+        with ``slope`` their derivative in the cosine."""
         if self.positive == "cos":
             return config.s if slope else config.s * (pos_cos - config.m)
         m = margins if self.collaborative else config.m
-        return config.s * cos_shifted(pos_cos, m, slope, sin_t)
+        return config.s * cos_shifted(pos_cos, m, slope)
 
 
 @dataclass(frozen=True)
@@ -168,29 +168,24 @@ class GradientBundle:
 
 
 class HeadIndex(NamedTuple):
-    """Flat positions in one head call's N x C matrices, found once per call:
-    each row's label entry (row * C + label) and, on the sparse route, the
-    hard entries (else None). ``sin`` is sin(theta) of the label entries,
-    shared by the mask threshold, the label logits and their slopes; None
-    lets a stage take it from its cosines."""
+    """Flat positions in one head call's N x C matrices: each row's label
+    entry (row * C + label) and, given a mask, its minority side: the hard
+    entries on the sparse route (``sparse``), else the easy ones."""
 
     label: np.ndarray
-    sin: np.ndarray | None
-    hard: np.ndarray | None
+    few: np.ndarray | None = None
+    sparse: bool = True
 
 
-# Below this share of hard entries (the sparse route) a stage maps every entry
-# as an easy one and puts the hard ones back at their flat indices; at or
-# above it (the dense route), the other way round, with the easy indices
-# taken from the mask where needed, so that no cache holds a large index.
-# An entry gets the same float operations either way.
+# Below this share of hard entries the sparse route, at or above it the dense
+# route; an entry gets the same float operations on either.
 _SPARSE_HARD = 0.5
 
 
-def _route(index, mask, hard):
-    """``index`` with the hard entries ``hard`` (``np.flatnonzero(mask)``)
-    on the sparse route."""
-    return index._replace(hard=hard) if hard.size < _SPARSE_HARD * mask.size else index
+def _mask_index(label, mask) -> HeadIndex:
+    """The ``HeadIndex`` of flat label positions and a boolean mask."""
+    sparse = np.count_nonzero(mask) < _SPARSE_HARD * mask.size
+    return HeadIndex(label, np.flatnonzero(mask if sparse else ~mask), sparse)
 
 
 def _head_index(shape, labels, mask=None) -> HeadIndex:
@@ -202,28 +197,26 @@ def _head_index(shape, labels, mask=None) -> HeadIndex:
         raise DimensionMismatch(f"labels shape {labels.shape}, expected ({n},)")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise DimensionMismatch("label out of range for the class count")
-    index = HeadIndex(np.arange(n) * c + labels.astype(np.intp), None, None)
+    label = np.arange(n) * c + labels.astype(np.intp)
     if mask is None:
-        return index
+        return HeadIndex(label)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != shape:
         raise DimensionMismatch(f"mask shape {mask.shape}, expected {shape}")
-    return _route(index, mask, np.flatnonzero(mask))
+    return _mask_index(label, mask)
 
 
-def _blend(source, mask, index, s, hard_map):
+def _blend(source, index, s, hard_map):
     """Fresh array of ``source * s`` at the easy entries and ``hard_map`` of
     ``source`` at the hard ones: the majority's elementwise map runs over
     the whole matrix, the minority's values are put at their indices."""
-    if index.hard is not None:
+    few = index.few
+    if index.sparse:
         out = source * s
-        np.put(out, index.hard, hard_map(np.take(source, index.hard)))
+        np.put(out, few, hard_map(source.take(few)))
     else:
         out = hard_map(source)
-        easy = np.flatnonzero(~np.asarray(mask, dtype=bool))
-        values = np.take(source, easy)
-        values *= s
-        np.put(out, easy, values)
+        np.put(out, few, source.take(few) * s)
     return out
 
 
@@ -242,11 +235,10 @@ def forward_logits(cosines, labels, config: LossConfig, mask=None, margins=None,
     if index is None:
         index = _head_index(cosines.shape, labels, mask if rule.mines else None)
     logits = config.s * cosines if not rule.mines else _blend(
-        cosines, mask, index, config.s,
+        cosines, index, config.s,
         lambda hard_cos: config.s * (config.t * hard_cos + rule.hard_offset))
     if rule.positive:
-        np.put(logits, index.label, rule.label_logits(
-            config, cosines.take(index.label), margins, sin_t=index.sin))
+        np.put(logits, index.label, rule.label_logits(config, cosines.take(index.label), margins))
     return logits
 
 
@@ -305,10 +297,10 @@ def backward_cosines(d_logits, cosines, labels, config: LossConfig, mask=None,
     if index is None:
         index = _head_index(cosines.shape, labels, mask if rule.mines else None)
     d_cosines = d_logits * config.s if not rule.mines else _blend(
-        d_logits, mask, index, config.s, lambda hard_d: hard_d * (config.s * config.t))
+        d_logits, index, config.s, lambda hard_d: hard_d * (config.s * config.t))
     if rule.positive:
         np.put(d_cosines, index.label, d_logits.take(index.label) * rule.label_logits(
-            config, cosines.take(index.label), margins, slope=True, sin_t=index.sin))
+            config, cosines.take(index.label), margins, slope=True))
     return d_cosines
 
 
@@ -333,19 +325,18 @@ def backward_parameters(d_cosines, cache: "HeadCache"):
     return d_features, d_weights
 
 
-def frozen_auxiliaries(cosines, labels, config: LossConfig, *, sin_t=None, return_hard=False):
+def frozen_auxiliaries(cosines, labels, config: LossConfig):
     """Mask and collaborative margins for the variants that need them, and
-    with ``return_hard`` the mask's ``np.flatnonzero``; Nones for the plain
-    variants. ``sin_t`` is sin(theta) of the label entries, if known.
-    """
+    their ``HeadIndex``; Nones for the plain variants."""
     rule = config._rule
-    mask = margins = hard = None
-    if rule.mines:
-        mask = compute_mask(cosines, labels, config.m0, sin_t=sin_t)
-        hard = np.flatnonzero(mask)
-        if rule.collaborative:
-            margins = collaborative_margin(cosines, mask, config.m0, config.m1, hard=hard)
-    return (mask, margins, hard) if return_hard else (mask, margins)
+    if not rule.mines:
+        return None, None, None
+    label = _head_index(cosines.shape, labels).label
+    mask = compute_mask(cosines, labels, config.m0)
+    index = _mask_index(label, mask)
+    margins = None if not rule.collaborative else collaborative_margin(
+        cosines, mask, config.m0, config.m1, hard=index.few if index.sparse else None)
+    return mask, margins, index
 
 
 @dataclass
@@ -365,23 +356,20 @@ class HeadCache:
     margins: np.ndarray | None
     index: HeadIndex
     probs: np.ndarray
-    _tiles: tuple | None = field(default=None, repr=False)
+    _tiles: dict = field(default_factory=dict, repr=False)
 
     def tiled(self, groups):
-        """Labels, mask, margins and ``HeadIndex`` (without the sines) of
-        ``groups`` copies of the batch stacked row-wise, tiled once for the
-        most copies asked for so far; fewer copies read a prefix."""
-        n, c = self.cosines.shape
-        flats = self.index.label, self.index.hard
-        if self._tiles is None or self._tiles[0] < groups:
+        """Labels, mask, margins and ``HeadIndex`` of ``groups`` copies of
+        the batch stacked row-wise, tiled once per number of copies."""
+        if groups not in self._tiles:
+            n, c = self.cosines.shape
             shifts = np.arange(groups)[:, None] * (n * c)      # flat offset of each copy
-            self._tiles = (groups, [None if a is None else np.concatenate([a] * groups)
-                                    for a in (self.labels, self.mask, self.margins)],
-                           [None if a is None else (shifts + a).ravel() for a in flats])
-        _, rows, flat = self._tiles
-        labels, mask, margins = (None if t is None else t[:groups * n] for t in rows)
-        label, hard = (None if t is None else t[:groups * a.size] for t, a in zip(flat, flats))
-        return labels, mask, margins, HeadIndex(label, None, hard)
+            tile = lambda a: None if a is None else np.concatenate([a] * groups)
+            shift = lambda a: None if a is None else (shifts + a).ravel()
+            label, few, sparse = self.index
+            self._tiles[groups] = (tile(self.labels), tile(self.mask), tile(self.margins),
+                                   HeadIndex(shift(label), shift(few), sparse))
+        return self._tiles[groups]
 
 
 def head_forward(raw_features, raw_weights, labels, config: LossConfig, mask=None, margins=None):
@@ -397,14 +385,10 @@ def head_forward(raw_features, raw_weights, labels, config: LossConfig, mask=Non
     weights, weight_norms = normalize_rows(raw_weights, return_norms=True)
     cosines = cosine_matrix(features, weights)
     rule = config._rule
-    index = _head_index(cosines.shape, labels, mask if rule.mines else None)
-    if rule.mines or rule.positive == "arc":
-        index = index._replace(sin=angle_sine(cosines.take(index.label)))
     if mask is None and rule.mines:
-        mask, margins, hard = frozen_auxiliaries(cosines, labels, config, sin_t=index.sin,
-                                                 return_hard=True)
-        index = _route(index, mask, hard)
-        del hard    # the dense route keeps no hard indices
+        mask, margins, index = frozen_auxiliaries(cosines, labels, config)
+    else:
+        index = _head_index(cosines.shape, labels, mask if rule.mines else None)
     logits = forward_logits(cosines, labels, config, mask, margins, index=index)
     probs = softmax_probabilities(logits, out=logits)
     loss = loss_value(probs, labels, index=index)

@@ -475,8 +475,8 @@ class TestFiniteDifferenceCheck:
 class TestFrozenAuxiliaries:
     def test_plain_variants_get_none(self):
         cos = np.array([[0.9, 0.1]])
-        mask, margins = frozen_auxiliaries(cos, np.array([0]),
-                                           LossConfig(variant=Variant.ARCFACE))
+        mask, margins, _ = frozen_auxiliaries(cos, np.array([0]),
+                                              LossConfig(variant=Variant.ARCFACE))
         assert mask is None and margins is None
 
     def test_npcface_gets_consistent_pair(self):
@@ -484,7 +484,7 @@ class TestFrozenAuxiliaries:
         cos = np.clip(rng.uniform(-1, 1, (6, 9)), -1, 1)
         y = rng.integers(0, 9, 6)
         cfg = npc_config()
-        mask, margins = frozen_auxiliaries(cos, y, cfg)
+        mask, margins, _ = frozen_auxiliaries(cos, y, cfg)
         np.testing.assert_array_equal(mask, compute_mask(cos, y, cfg.m0))
         np.testing.assert_array_equal(
             margins, collaborative_margin(cos, mask, cfg.m0, cfg.m1))
@@ -551,7 +551,7 @@ def test_routes_give_the_same_bits_on_mined_masks(variant, monkeypatch):
         for route in ("sparse", "dense"):
             forced_route(monkeypatch, route)
             loss, cache = head_forward(x, w, labels, cfg)
-            assert (cache.index.hard is None) == (route == "dense")
+            assert cache.index.sparse == (route == "sparse")
             bundles.append(head_backward(loss, cache))
         for name in ("loss",) + BUNDLE_ARRAYS:
             assert np.asarray(getattr(bundles[0], name)).tobytes() == \

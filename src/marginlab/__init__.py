@@ -12,6 +12,7 @@ from .data import SyntheticDatasetSpec, generate_dataset
 from .geometry import cos_shifted, cosine_matrix, normalize, normalize_rows
 from .hardness import RowScan, collaborative_margin, compute_mask, row_scan
 from .losses import (
+    Frozen,
     GradientBundle,
     LossConfig,
     Variant,
@@ -20,6 +21,7 @@ from .losses import (
     backward_parameters,
     finite_difference_check,
     forward_logits,
+    freeze,
     loss_and_gradients,
     loss_value,
     softmax_probabilities,
@@ -40,7 +42,7 @@ __all__ = [
     "SyntheticDatasetSpec", "generate_dataset",
     "cos_shifted", "cosine_matrix", "normalize", "normalize_rows",
     "compute_mask", "collaborative_margin", "RowScan", "row_scan",
-    "GradientBundle", "LossConfig", "Variant",
+    "GradientBundle", "LossConfig", "Variant", "Frozen", "freeze",
     "forward_logits", "softmax_probabilities", "loss_value",
     "backward_logits", "backward_cosines", "backward_parameters",
     "loss_and_gradients", "finite_difference_check",

@@ -24,12 +24,12 @@ checks them with the auxiliaries held fixed: ``stacked_losses`` runs the
 same logit map, softmax and per-row loss over many perturbed copies of a
 batch in one pass. The head returns fresh arrays on every call.
 
-``head_forward`` checks the labels once and takes the mask's flat indices
-once, on its minority side: the hard entries while they are under half
-(the sparse route, where the margins sum them too), else the easy ones
-(the dense route). Both hard-entry blends map the majority over the whole
-matrix and put the minority's values at those indices. The ``HeadIndex``
-carries them, with the label entries' flat indices, to every later stage.
+Every stage after the cosines reads the labels, mask and margins from one
+checked ``Frozen`` record (``freeze``): the label entries' flat indices, the
+margins and the mask's flat indices on its minority side, the hard entries
+while under half (the sparse route, where the margins sum them too), else
+the easy ones (the dense route). Both hard-entry blends map the majority
+over the whole matrix and put the minority's values at those indices.
 """
 
 from dataclasses import dataclass, field
@@ -80,11 +80,11 @@ class _Rule(NamedTuple):
     positive: str | None
     collaborative: bool
 
-    def require(self, config, mask, margins):
-        """Raise ConfigMismatch when a frozen auxiliary the variant reads is missing."""
-        if self.mines and mask is None:
+    def require(self, config, frozen):
+        """Raise ConfigMismatch when ``frozen`` lacks an auxiliary the variant reads."""
+        if self.mines and frozen.few is None:
             raise ConfigMismatch(f"{config.variant.value} requires a hard mask")
-        if self.collaborative and margins is None:
+        if self.collaborative and frozen.margins is None:
             raise ConfigMismatch("npcface requires collaborative margins")
 
     def label_logits(self, config, pos_cos, margins, slope=False):
@@ -167,12 +167,14 @@ class GradientBundle:
     d_weights: np.ndarray
 
 
-class HeadIndex(NamedTuple):
-    """Flat positions in one head call's N x C matrices: each row's label
-    entry (row * C + label) and, given a mask, its minority side: the hard
+class Frozen(NamedTuple):
+    """One batch's frozen auxiliaries as flat positions in its N x C
+    matrices: each row's label entry (row * C + label), npcface's
+    collaborative margins and, given a mask, its minority side: the hard
     entries on the sparse route (``sparse``), else the easy ones."""
 
     label: np.ndarray
+    margins: np.ndarray | None = None
     few: np.ndarray | None = None
     sparse: bool = True
 
@@ -182,36 +184,33 @@ class HeadIndex(NamedTuple):
 _SPARSE_HARD = 0.5
 
 
-def _mask_index(label, mask) -> HeadIndex:
-    """The ``HeadIndex`` of flat label positions and a boolean mask."""
-    sparse = np.count_nonzero(mask) < _SPARSE_HARD * mask.size
-    return HeadIndex(label, np.flatnonzero(mask if sparse else ~mask), sparse)
-
-
-def _head_index(shape, labels, mask=None) -> HeadIndex:
-    """The ``HeadIndex`` of unchecked labels and mask; raises
-    DimensionMismatch when either does not fit an N x C ``shape``."""
+def freeze(shape, labels, mask=None, margins=None) -> Frozen:
+    """The ``Frozen`` record of unchecked labels, mask and margins; raises
+    DimensionMismatch when one does not fit an N x C ``shape``."""
     n, c = shape
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise DimensionMismatch(f"labels shape {labels.shape}, expected ({n},)")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise DimensionMismatch("label out of range for the class count")
+    if margins is not None and np.shape(margins) != (n,):
+        raise DimensionMismatch(f"margins shape {np.shape(margins)}, expected ({n},)")
     label = np.arange(n) * c + labels.astype(np.intp)
     if mask is None:
-        return HeadIndex(label)
+        return Frozen(label, margins)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != shape:
         raise DimensionMismatch(f"mask shape {mask.shape}, expected {shape}")
-    return _mask_index(label, mask)
+    sparse = np.count_nonzero(mask) < _SPARSE_HARD * mask.size
+    return Frozen(label, margins, np.flatnonzero(mask if sparse else ~mask), sparse)
 
 
-def _blend(source, index, s, hard_map):
+def _blend(source, frozen, s, hard_map):
     """Fresh array of ``source * s`` at the easy entries and ``hard_map`` of
     ``source`` at the hard ones: the majority's elementwise map runs over
     the whole matrix, the minority's values are put at their indices."""
-    few = index.few
-    if index.sparse:
+    few = frozen.few
+    if frozen.sparse:
         out = source * s
         np.put(out, few, hard_map(source.take(few)))
     else:
@@ -220,25 +219,18 @@ def _blend(source, index, s, hard_map):
     return out
 
 
-def forward_logits(cosines, labels, config: LossConfig, mask=None, margins=None, *,
-                   index=None) -> np.ndarray:
-    """Margined logit matrix for one batch.
-
-    ``mask`` (N x C binary, zero on the label column) and ``margins``
-    (length N) are consulted only by mv_softmax / npcface; the other
-    variants ignore them. ``index`` is the ``HeadIndex`` of these labels
-    and this mask; without it they are checked here.
-    """
+def forward_logits(cosines, frozen: Frozen, config: LossConfig) -> np.ndarray:
+    """Margined logit matrix of one batch under its ``Frozen`` record, whose
+    hard entries and margins only mv_softmax / npcface read."""
     cosines = np.asarray(cosines, dtype=np.float64)
     rule = config._rule
-    rule.require(config, mask, margins)
-    if index is None:
-        index = _head_index(cosines.shape, labels, mask if rule.mines else None)
+    rule.require(config, frozen)
     logits = config.s * cosines if not rule.mines else _blend(
-        cosines, index, config.s,
+        cosines, frozen, config.s,
         lambda hard_cos: config.s * (config.t * hard_cos + rule.hard_offset))
     if rule.positive:
-        np.put(logits, index.label, rule.label_logits(config, cosines.take(index.label), margins))
+        np.put(logits, frozen.label, rule.label_logits(
+            config, cosines.take(frozen.label), frozen.margins))
     return logits
 
 
@@ -254,53 +246,44 @@ def softmax_probabilities(logits, out=None) -> np.ndarray:
     return probs
 
 
-def row_losses(probs, labels, *, index=None) -> np.ndarray:
-    """Cross-entropy -log p_y of every row; probabilities floored at 1e-300.
-    ``index`` as in ``forward_logits``."""
+def row_losses(probs, frozen: Frozen) -> np.ndarray:
+    """Cross-entropy -log p_y of every row, at the record's label entries;
+    probabilities floored at 1e-300."""
     probs = np.asarray(probs, dtype=np.float64)
-    index = _head_index(probs.shape, labels) if index is None else index
-    return -np.log(np.maximum(probs.take(index.label), PROB_FLOOR))
+    return -np.log(np.maximum(probs.take(frozen.label), PROB_FLOOR))
 
 
-def loss_value(probs, labels, *, index=None) -> float:
+def loss_value(probs, frozen: Frozen) -> float:
     """Mean cross-entropy over the rows (``row_losses``)."""
-    return float(np.mean(row_losses(probs, labels, index=index)))
+    return float(np.mean(row_losses(probs, frozen)))
 
 
-def backward_logits(probs, labels, *, index=None) -> np.ndarray:
+def backward_logits(probs, frozen: Frozen) -> np.ndarray:
     """Gradient of the mean cross-entropy with respect to the logits.
 
     Entry (i, k) = (p_ik - [k == y_i]) / N, so every row sums to zero.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    index = _head_index(probs.shape, labels) if index is None else index
     n = probs.shape[0]
     grad = probs / n
-    np.put(grad, index.label, (probs.take(index.label) - 1.0) / n)
+    np.put(grad, frozen.label, (probs.take(frozen.label) - 1.0) / n)
     return grad
 
 
-def backward_cosines(d_logits, cosines, labels, config: LossConfig, mask=None,
-                     margins=None, *, index=None) -> np.ndarray:
-    """Chain ``d_logits`` through the margined logit map: returns dL/dcos.
-
-    The mask and the collaborative margins must be the same frozen arrays
-    that produced the matching forward logits; ``index`` as in
-    ``forward_logits``.
-    """
+def backward_cosines(d_logits, cosines, frozen: Frozen, config: LossConfig) -> np.ndarray:
+    """Chain ``d_logits`` through the margined logit map: returns dL/dcos,
+    under the ``Frozen`` record that produced the matching forward logits."""
     d_logits = np.asarray(d_logits, dtype=np.float64)
     cosines = np.asarray(cosines, dtype=np.float64)
     if d_logits.shape != cosines.shape:
         raise DimensionMismatch(f"d_logits shape {d_logits.shape}, expected {cosines.shape}")
     rule = config._rule
-    rule.require(config, mask, margins)
-    if index is None:
-        index = _head_index(cosines.shape, labels, mask if rule.mines else None)
+    rule.require(config, frozen)
     d_cosines = d_logits * config.s if not rule.mines else _blend(
-        d_logits, index, config.s, lambda hard_d: hard_d * (config.s * config.t))
+        d_logits, frozen, config.s, lambda hard_d: hard_d * (config.s * config.t))
     if rule.positive:
-        np.put(d_cosines, index.label, d_logits.take(index.label) * rule.label_logits(
-            config, cosines.take(index.label), margins, slope=True))
+        np.put(d_cosines, frozen.label, d_logits.take(frozen.label) * rule.label_logits(
+            config, cosines.take(frozen.label), frozen.margins, slope=True))
     return d_cosines
 
 
@@ -326,49 +309,47 @@ def backward_parameters(d_cosines, cache: "HeadCache"):
 
 
 def frozen_auxiliaries(cosines, labels, config: LossConfig):
-    """Mask and collaborative margins for the variants that need them, and
-    their ``HeadIndex``; Nones for the plain variants."""
+    """The hard mask a variant mines from ``cosines`` (None for the plain
+    variants) and the batch's ``Frozen`` record, with npcface's margins."""
+    frozen = freeze(cosines.shape, labels)      # before compute_mask reads the labels
     rule = config._rule
     if not rule.mines:
-        return None, None, None
-    label = _head_index(cosines.shape, labels).label
+        return None, frozen
     mask = compute_mask(cosines, labels, config.m0)
-    index = _mask_index(label, mask)
-    margins = None if not rule.collaborative else collaborative_margin(
-        cosines, mask, config.m0, config.m1, hard=index.few if index.sparse else None)
-    return mask, margins, index
+    frozen = freeze(cosines.shape, labels, mask)
+    if rule.collaborative:
+        frozen = frozen._replace(margins=collaborative_margin(
+            cosines, mask, config.m0, config.m1, hard=frozen.few if frozen.sparse else None))
+    return mask, frozen
 
 
 @dataclass
 class HeadCache:
     """What ``head_backward`` reads from the forward pass: the unit rows and
-    raw row norms of both inputs, the cosines, the frozen auxiliaries and
-    their ``HeadIndex``, and the softmax probabilities."""
+    raw row norms of both inputs, the cosines, the mask and the batch's
+    ``Frozen`` record, and the softmax probabilities."""
 
     features: np.ndarray
     weights: np.ndarray
     feature_norms: np.ndarray
     weight_norms: np.ndarray
-    labels: np.ndarray
     config: LossConfig
     cosines: np.ndarray
     mask: np.ndarray | None
-    margins: np.ndarray | None
-    index: HeadIndex
+    frozen: Frozen
     probs: np.ndarray
     _tiles: dict = field(default_factory=dict, repr=False)
 
     def tiled(self, groups):
-        """Labels, mask, margins and ``HeadIndex`` of ``groups`` copies of
-        the batch stacked row-wise, tiled once per number of copies."""
+        """The ``Frozen`` record of ``groups`` copies of the batch stacked
+        row-wise, tiled once per number of copies."""
         if groups not in self._tiles:
             n, c = self.cosines.shape
             shifts = np.arange(groups)[:, None] * (n * c)      # flat offset of each copy
-            tile = lambda a: None if a is None else np.concatenate([a] * groups)
             shift = lambda a: None if a is None else (shifts + a).ravel()
-            label, few, sparse = self.index
-            self._tiles[groups] = (tile(self.labels), tile(self.mask), tile(self.margins),
-                                   HeadIndex(shift(label), shift(few), sparse))
+            label, margins, few, sparse = self.frozen
+            self._tiles[groups] = Frozen(shift(label), None if margins is None
+                                         else np.tile(margins, groups), shift(few), sparse)
         return self._tiles[groups]
 
 
@@ -378,31 +359,29 @@ def head_forward(raw_features, raw_weights, labels, config: LossConfig, mask=Non
     When ``mask``/``margins`` are omitted they are mined from the current
     cosines (the per-iteration semantics). Pass them to evaluate the head
     under given auxiliaries: a cache's frozen ones, or a chosen mask such as
-    an empty one, under which mv_softmax reduces to arcface. The labels, and
-    a given mask, are checked once, here.
+    an empty one, under which mv_softmax reduces to arcface. ``freeze``
+    checks the labels and the given auxiliaries once.
     """
     features, feature_norms = normalize_rows(raw_features, return_norms=True)
     weights, weight_norms = normalize_rows(raw_weights, return_norms=True)
     cosines = cosine_matrix(features, weights)
     rule = config._rule
     if mask is None and rule.mines:
-        mask, margins, index = frozen_auxiliaries(cosines, labels, config)
+        mask, frozen = frozen_auxiliaries(cosines, labels, config)
     else:
-        index = _head_index(cosines.shape, labels, mask if rule.mines else None)
-    logits = forward_logits(cosines, labels, config, mask, margins, index=index)
+        frozen = freeze(cosines.shape, labels, mask if rule.mines else None, margins)
+    logits = forward_logits(cosines, frozen, config)
     probs = softmax_probabilities(logits, out=logits)
-    loss = loss_value(probs, labels, index=index)
-    cache = HeadCache(features, weights, feature_norms, weight_norms, labels, config,
-                      cosines, mask, margins, index, probs)
+    loss = loss_value(probs, frozen)
+    cache = HeadCache(features, weights, feature_norms, weight_norms, config,
+                      cosines, mask, frozen, probs)
     return loss, cache
 
 
 def head_backward(loss: float, cache: HeadCache) -> GradientBundle:
     """Gradients of ``loss`` at every stage, with the cached auxiliaries frozen."""
-    index = cache.index
-    d_logits = backward_logits(cache.probs, cache.labels, index=index)
-    d_cosines = backward_cosines(d_logits, cache.cosines, cache.labels, cache.config,
-                                 cache.mask, cache.margins, index=index)
+    d_logits = backward_logits(cache.probs, cache.frozen)
+    d_cosines = backward_cosines(d_logits, cache.cosines, cache.frozen, cache.config)
     d_features, d_weights = backward_parameters(d_cosines, cache)
     return GradientBundle(loss, d_logits, d_cosines, d_features, d_weights)
 
@@ -415,16 +394,16 @@ def loss_and_gradients(raw_features, raw_weights, labels, config: LossConfig,
 
 
 def stacked_losses(cache: HeadCache, features=None, weights=None) -> np.ndarray:
-    """Losses of K copies of the batch in ``cache``, each with its labels
-    and frozen auxiliaries, in one head pass.
+    """Losses of K copies of the batch in ``cache``, each with its
+    ``Frozen`` record, in one head pass.
 
     Pass either ``features``, K copies of the raw features stacked as K*N
     rows (the class weights are the cached ones), or ``weights``, K copies
     of the raw class weights stacked as K*C rows (the features are the
     cached ones). Entry k is the loss ``head_forward`` gives for copy k with
-    ``cache.mask`` and ``cache.margins``, bit for bit, provided the stack is
-    laid out in memory like the array it copies: the row norms then sum in
-    the same order.
+    ``cache.mask`` and ``cache.frozen.margins``, bit for bit, provided the
+    stack is laid out in memory like the array it copies: the row norms then
+    sum in the same order.
     """
     n, c = cache.cosines.shape
     if weights is None:
@@ -434,10 +413,10 @@ def stacked_losses(cache: HeadCache, features=None, weights=None) -> np.ndarray:
         cosines = cosine_matrix(cache.features, normalize_rows(weights))
         cosines = cosines.reshape(n, -1, c).swapaxes(0, 1).reshape(-1, c)
     groups = cosines.shape[0] // n
-    labels, mask, margins, index = cache.tiled(groups)
-    logits = forward_logits(cosines, labels, cache.config, mask, margins, index=index)
+    frozen = cache.tiled(groups)
+    logits = forward_logits(cosines, frozen, cache.config)
     probs = softmax_probabilities(logits, out=logits)
-    return row_losses(probs, labels, index=index).reshape(groups, n).mean(axis=1)
+    return row_losses(probs, frozen).reshape(groups, n).mean(axis=1)
 
 
 def check_epsilon(epsilon: float) -> None:

@@ -247,7 +247,7 @@ def sequential_end_to_end_check(model, class_weights, inputs, labels, config,
     def loss_now():
         emb_now, _ = model.forward(inputs)
         return losses.head_forward(emb_now, class_weights, labels, config,
-                                   head.mask, head.margins)[0]
+                                   head.mask, head.frozen.margins)[0]
 
     names = [f"layer{i}.{kind}" for i in range(model.n_layers) for kind in ("weight", "bias")]
     tensors = list(zip(names, model.params, param_grads))
@@ -265,7 +265,7 @@ def sequential_finite_difference_check(features, weights, labels, config, epsilo
 
     def loss_now():
         return losses.head_forward(features, weights, labels, config,
-                                   cache.mask, cache.margins)[0]
+                                   cache.mask, cache.frozen.margins)[0]
 
     tensors = [("features", features, bundle.d_features), ("weights", weights, bundle.d_weights)]
     return sequential_central_difference(loss_now, tensors, epsilon)

@@ -174,11 +174,11 @@ def test_criterion_3_margin_inequalities():
         if m_max < 0.1:
             continue
         m = float(rng.uniform(0.05, min(1.0, m_max - 0.02)))
-        labels = np.array([y])
+        frozen = L.freeze((1, c), [y])
         plain = L.softmax_probabilities(L.forward_logits(
-            row[None, :], labels, LossConfig(variant=Variant.ARCFACE, s=10.0, m=0.0)))
+            row[None, :], frozen, LossConfig(variant=Variant.ARCFACE, s=10.0, m=0.0)))
         margined = L.softmax_probabilities(L.forward_logits(
-            row[None, :], labels, LossConfig(variant=Variant.ARCFACE, s=10.0, m=m)))
+            row[None, :], frozen, LossConfig(variant=Variant.ARCFACE, s=10.0, m=m)))
         others = np.arange(c) != y
         ok &= margined[0, y] < plain[0, y]
         ok &= bool(np.all(margined[0, others] > plain[0, others]))

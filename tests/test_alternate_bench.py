@@ -16,14 +16,15 @@ def result(run_s, setup_s=0.2, rss=58.0, failed=0):
             "metrics": {name: {"value": value, "unit": "s"} for name, value in metrics.items()}}
 
 
-def runs_of(parent, change, workload="corr1000"):
-    """Alternated runs: the parent first at even seeds, the change first at odd."""
+def runs_of(parent, change, workload="corr1000", change_failed=0):
+    """Alternated runs: the parent first at even seeds, the change first at
+    odd; each change run fails ``change_failed`` operations."""
     runs = []
     for seed, (p, c) in enumerate(zip(parent, change)):
-        sides = [("parent", p), ("change", c)]
-        for side, run_s in (sides if seed % 2 == 0 else sides[::-1]):
+        sides = [("parent", p, 0), ("change", c, change_failed)]
+        for side, run_s, failed in (sides if seed % 2 == 0 else sides[::-1]):
             runs.append({"side": side, "workload": workload, "seed": seed,
-                         "result": result(run_s)})
+                         "result": result(run_s, failed=failed)})
     return runs
 
 
@@ -41,6 +42,7 @@ def test_summary_pairs_runs_by_seed_whatever_ran_first():
     assert run_s["parent_quartiles"] == [7.45, 7.9, 8.35]
     assert summary["corr1000"]["setup_s"]["pairs_change_lower"] == "0 of 10"    # ties
     assert summary["corr1000"]["failed"] == {"parent": [0] * 10, "change": [0] * 10}
+    assert summary["corr1000"]["attempted"] == {"parent": [3] * 10, "change": [3] * 10}
 
 
 def test_unpaired_runs_are_left_out():
@@ -65,6 +67,16 @@ def test_verdict_follows_the_claim_rule(change, met, won):
     assert verdict["met"] is met
     assert verdict["pairs_won"] == won
     assert verdict["parent_iqr"] == 0.9
+
+
+def test_verdict_is_not_met_when_the_change_fails_more():
+    # every pair won by a quarter, but the change fails one operation in three
+    summary = alternate_bench.summarize(
+        runs_of(PARENT, [p * 0.75 for p in PARENT], change_failed=1))
+    verdict = alternate_bench.verdict(summary, "corr1000", "run_s")
+    assert verdict["pairs_won"] == "10 of 10"
+    assert verdict["failed_share"] == {"parent": 0.0, "change": 0.3333}
+    assert verdict["met"] is False
 
 
 def test_parse_seeds():

@@ -17,6 +17,7 @@ from marginlab.losses import (
     central_difference,
     finite_difference_check,
     forward_logits,
+    freeze,
     frozen_auxiliaries,
     head_backward,
     head_forward,
@@ -40,7 +41,7 @@ class TestForwardLogits:
         labels = np.array([0])
         mask = np.zeros((1, 2), dtype=bool)
         margins = np.array([0.4])
-        logits = forward_logits(cos, labels, npc_config(), mask, margins)
+        logits = forward_logits(cos, freeze(cos.shape, labels, mask, margins), npc_config())
         assert logits[0, 1] == 64.0 * 0.5
 
     def test_npcface_hard_negative_emphasis(self):
@@ -48,7 +49,7 @@ class TestForwardLogits:
         labels = np.array([0])
         mask = np.array([[False, True]])
         margins = np.array([0.4])
-        logits = forward_logits(cos, labels, npc_config(), mask, margins)
+        logits = forward_logits(cos, freeze(cos.shape, labels, mask, margins), npc_config())
         assert abs(logits[0, 1] - 51.2) < 1e-12  # 64 * (1.1*0.5 + 0.25)
 
     def test_mv_softmax_hard_negative(self):
@@ -56,7 +57,7 @@ class TestForwardLogits:
         labels = np.array([0])
         mask = np.array([[False, True]])
         cfg = LossConfig(variant=Variant.MV_SOFTMAX, s=64.0, t=1.1, m=0.4)
-        logits = forward_logits(cos, labels, cfg, mask, None)
+        logits = forward_logits(cos, freeze(cos.shape, labels, mask), cfg)
         assert abs(logits[0, 1] - 41.6) < 1e-12  # 64 * (1.1*0.5 + 0.1)
 
     def test_positive_logit_uses_collaborative_margin(self):
@@ -64,29 +65,29 @@ class TestForwardLogits:
         labels = np.array([0])
         mask = np.array([[False, True]])
         margins = np.array([0.55])
-        logits = forward_logits(cos, labels, npc_config(), mask, margins)
+        logits = forward_logits(cos, freeze(cos.shape, labels, mask, margins), npc_config())
         assert abs(logits[0, 0] - 64.0 * cos_shifted(0.8, 0.55)) < 1e-12
 
     def test_cosface_subtracts_margin(self):
         cos = np.array([[0.8, 0.3]])
         cfg = LossConfig(variant=Variant.COSFACE, s=30.0, m=0.35)
-        logits = forward_logits(cos, np.array([0]), cfg)
+        logits = forward_logits(cos, freeze(cos.shape, [0]), cfg)
         assert abs(logits[0, 0] - 30.0 * 0.45) < 1e-12
         assert logits[0, 1] == 30.0 * 0.3
 
     def test_masked_variant_requires_mask(self):
         cos = np.array([[0.8, 0.3]])
         with pytest.raises(ConfigMismatch):
-            forward_logits(cos, np.array([0]), npc_config())
+            forward_logits(cos, freeze(cos.shape, [0]), npc_config())
         with pytest.raises(ConfigMismatch):
-            forward_logits(cos, np.array([0]),
+            forward_logits(cos, freeze(cos.shape, [0]),
                            LossConfig(variant=Variant.MV_SOFTMAX))
 
     def test_npcface_requires_margins_too(self):
         cos = np.array([[0.8, 0.3]])
         with pytest.raises(ConfigMismatch):
-            forward_logits(cos, np.array([0]), npc_config(),
-                           np.zeros((1, 2), dtype=bool), None)
+            forward_logits(cos, freeze(cos.shape, [0], np.zeros((1, 2), dtype=bool)),
+                           npc_config())
 
 
 class TestSoftmaxAndLoss:
@@ -110,19 +111,20 @@ class TestSoftmaxAndLoss:
 
     def test_perfect_prediction_zero_loss(self):
         probs = np.eye(3)
-        assert loss_value(probs, np.array([0, 1, 2])) == 0.0
+        assert loss_value(probs, freeze(probs.shape, [0, 1, 2])) == 0.0
 
     def test_half_probability_gives_log_two(self):
-        assert abs(loss_value(np.array([[0.5, 0.5]]), np.array([0])) - math.log(2)) < 1e-12
+        probs = np.array([[0.5, 0.5]])
+        assert abs(loss_value(probs, freeze(probs.shape, [0])) - math.log(2)) < 1e-12
 
 
 class TestBackwardLogits:
     def test_single_sample(self):
-        grad = backward_logits(np.array([[0.7, 0.3]]), np.array([0]))
+        grad = backward_logits(np.array([[0.7, 0.3]]), freeze((1, 2), [0]))
         np.testing.assert_allclose(grad, [[-0.3, 0.3]], atol=1e-15)
 
     def test_one_hot_probabilities_give_zero_row(self):
-        grad = backward_logits(np.array([[1.0, 0.0]]), np.array([0]))
+        grad = backward_logits(np.array([[1.0, 0.0]]), freeze((1, 2), [0]))
         np.testing.assert_array_equal(grad, [[0.0, 0.0]])
 
     def test_zero_sum_identity(self):
@@ -131,7 +133,7 @@ class TestBackwardLogits:
         while total_rows < 1000:
             n, c = int(rng.integers(1, 9)), int(rng.integers(2, 17))
             probs = softmax_probabilities(rng.standard_normal((n, c)) * 20)
-            grad = backward_logits(probs, rng.integers(0, c, n))
+            grad = backward_logits(probs, freeze((n, c), rng.integers(0, c, n)))
             assert np.all(np.abs(grad.sum(axis=1)) < 1e-10)
             total_rows += n
 
@@ -140,27 +142,27 @@ class TestBackwardCosines:
     def test_easy_negative_factor_is_s(self):
         cos = np.array([[0.9, 0.2]])
         mask = np.zeros((1, 2), dtype=bool)
-        d = backward_cosines(np.ones((1, 2)), cos, np.array([0]),
-                             npc_config(), mask, np.array([0.4]))
+        d = backward_cosines(np.ones((1, 2)), cos, freeze(cos.shape, [0], mask, np.array([0.4])),
+                             npc_config())
         assert d[0, 1] == 64.0
 
     def test_hard_negative_factor_is_s_times_t(self):
         cos = np.array([[0.9, 0.2]])
         mask = np.array([[False, True]])
-        d = backward_cosines(np.ones((1, 2)), cos, np.array([0]),
-                             npc_config(), mask, np.array([0.4]))
+        d = backward_cosines(np.ones((1, 2)), cos, freeze(cos.shape, [0], mask, np.array([0.4])),
+                             npc_config())
         assert abs(d[0, 1] - 70.4) < 1e-12
 
     def test_arcface_positive_limit_at_zero_angle(self):
         cos = np.array([[1.0, 0.0]])
         cfg = LossConfig(variant=Variant.ARCFACE, s=64.0, m=0.4)
-        d = backward_cosines(np.ones((1, 2)), cos, np.array([0]), cfg)
+        d = backward_cosines(np.ones((1, 2)), cos, freeze(cos.shape, [0]), cfg)
         assert abs(d[0, 0] - 64.0 * math.cos(0.4)) < 1e-12
 
     def test_zero_gradient_beyond_pi_clamp(self):
         cos = np.array([[-0.95, 0.0]])
         cfg = LossConfig(variant=Variant.ARCFACE, s=64.0, m=0.5)
-        d = backward_cosines(np.ones((1, 2)), cos, np.array([0]), cfg)
+        d = backward_cosines(np.ones((1, 2)), cos, freeze(cos.shape, [0]), cfg)
         assert d[0, 0] == 0.0
 
     def test_arcface_factor_matches_angle_ratio(self):
@@ -170,7 +172,7 @@ class TestBackwardCosines:
             c = float(rng.uniform(-0.8, 0.99))
             theta = math.acos(c)
             d = backward_cosines(np.ones((1, 2)), np.array([[c, 0.0]]),
-                                 np.array([0]), cfg)
+                                 freeze((1, 2), [0]), cfg)
             expected = 10.0 * math.sin(theta + 0.3) / math.sin(theta)
             assert abs(d[0, 0] - expected) < 1e-9 * abs(expected)
 
@@ -192,10 +194,11 @@ def test_hard_entries_match_the_plain_blend_at_any_density(variant, density):
     negatives = np.ones((n, c), dtype=bool)
     negatives[np.arange(n), labels] = False
 
-    logits = forward_logits(cos, labels, cfg, mask, margins)
+    frozen = freeze(cos.shape, labels, mask, margins)
+    logits = forward_logits(cos, frozen, cfg)
     blend = np.where(mask, cfg.s * (cfg.t * cos + offset), cfg.s * cos)
     assert logits[negatives].tobytes() == blend[negatives].tobytes()
-    d_cos = backward_cosines(d_logits, cos, labels, cfg, mask, margins)
+    d_cos = backward_cosines(d_logits, cos, frozen, cfg)
     blend = d_logits * np.where(mask, cfg.s * cfg.t, cfg.s)
     assert d_cos[negatives].tobytes() == blend[negatives].tobytes()
 
@@ -210,10 +213,36 @@ def test_misshaped_mask_is_rejected(stage, shape):
     mask[0, 0] = True
     cfg, margins = npc_config(), np.full(6, 0.4)
     with pytest.raises(DimensionMismatch, match="mask shape"):
+        frozen = freeze(cos.shape, labels, mask, margins)
         if stage == "forward_logits":
-            forward_logits(cos, labels, cfg, mask, margins)
+            forward_logits(cos, frozen, cfg)
         else:
-            backward_cosines(d_logits, cos, labels, cfg, mask, margins)
+            backward_cosines(d_logits, cos, frozen, cfg)
+
+
+@pytest.mark.parametrize("margins", [[0.4], [0.4, 0.4, 0.4]], ids=["one", "three"])
+def test_misshaped_margins_are_rejected(margins):
+    # a single margin must not be broadcast to every row
+    rng = np.random.default_rng(38)
+    x, w = rng.standard_normal((6, 4)), rng.standard_normal((9, 4))
+    labels = rng.integers(0, 9, 6)
+    mask = np.zeros((6, 9), dtype=bool)
+    with pytest.raises(DimensionMismatch, match="margins shape"):
+        loss_and_gradients(x, w, labels, npc_config(), mask, np.array(margins))
+
+
+@pytest.mark.parametrize("labels, match", [
+    ([0, 1, 2, 3, 4, 5, 6], "labels shape"),
+    ([0, 1, 2, 9, 4, 5], "out of range"),
+    # numpy would wrap -1 to the last column instead of failing
+    ([0, 1, 2, -1, 4, 5], "out of range"),
+], ids=["long", "c", "minus_one"])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_bad_labels_are_rejected(variant, labels, match):
+    rng = np.random.default_rng(39)
+    x, w = rng.standard_normal((6, 4)), rng.standard_normal((9, 4))
+    with pytest.raises(DimensionMismatch, match=match):
+        head_forward(x, w, np.array(labels), npc_config(variant=variant))
 
 
 @pytest.mark.parametrize("shape", [(5, 9), (6, 1), (6, 10)], ids=["short", "column", "wide"])
@@ -221,7 +250,8 @@ def test_misshaped_d_logits_is_rejected(shape):
     rng = np.random.default_rng(35)
     cos, labels = rng.uniform(-1, 1, (6, 9)), rng.integers(0, 9, 6)
     with pytest.raises(DimensionMismatch, match="d_logits shape"):
-        backward_cosines(np.ones(shape), cos, labels, LossConfig(variant=Variant.ARCFACE))
+        backward_cosines(np.ones(shape), cos, freeze(cos.shape, labels),
+                         LossConfig(variant=Variant.ARCFACE))
 
 
 def head_cache(x, w):
@@ -369,8 +399,9 @@ class TestMarginInequalities:
             cfg_margin = LossConfig(variant=Variant.ARCFACE, s=10.0, m=m)
             labels = np.array([y])
             cos = row[None, :]
-            p_plain = softmax_probabilities(forward_logits(cos, labels, cfg_plain))
-            p_margin = softmax_probabilities(forward_logits(cos, labels, cfg_margin))
+            frozen = freeze(cos.shape, labels)
+            p_plain = softmax_probabilities(forward_logits(cos, frozen, cfg_plain))
+            p_margin = softmax_probabilities(forward_logits(cos, frozen, cfg_margin))
             assert p_margin[0, y] < p_plain[0, y]
             others = np.arange(c_classes) != y
             assert np.all(p_margin[0, others] > p_plain[0, others])
@@ -385,8 +416,9 @@ class TestHardNegativeAmplification:
         full_mask = np.ones((1, 200), dtype=bool)
         full_mask[0, 0] = False
         margins = np.array([cfg.m0])
-        hard = forward_logits(cos, labels, cfg, full_mask, margins)
-        easy = forward_logits(cos, labels, cfg, np.zeros_like(full_mask), margins)
+        hard = forward_logits(cos, freeze(cos.shape, labels, full_mask, margins), cfg)
+        easy = forward_logits(cos, freeze(cos.shape, labels, np.zeros_like(full_mask), margins),
+                              cfg)
         assert np.all(hard[0, 1:] >= easy[0, 1:])
 
 
@@ -475,19 +507,19 @@ class TestFiniteDifferenceCheck:
 class TestFrozenAuxiliaries:
     def test_plain_variants_get_none(self):
         cos = np.array([[0.9, 0.1]])
-        mask, margins, _ = frozen_auxiliaries(cos, np.array([0]),
-                                              LossConfig(variant=Variant.ARCFACE))
-        assert mask is None and margins is None
+        mask, frozen = frozen_auxiliaries(cos, np.array([0]),
+                                          LossConfig(variant=Variant.ARCFACE))
+        assert mask is None and frozen.margins is None
 
     def test_npcface_gets_consistent_pair(self):
         rng = np.random.default_rng(19)
         cos = np.clip(rng.uniform(-1, 1, (6, 9)), -1, 1)
         y = rng.integers(0, 9, 6)
         cfg = npc_config()
-        mask, margins, _ = frozen_auxiliaries(cos, y, cfg)
+        mask, frozen = frozen_auxiliaries(cos, y, cfg)
         np.testing.assert_array_equal(mask, compute_mask(cos, y, cfg.m0))
         np.testing.assert_array_equal(
-            margins, collaborative_margin(cos, mask, cfg.m0, cfg.m1))
+            frozen.margins, collaborative_margin(cos, mask, cfg.m0, cfg.m1))
 
 
 BUNDLE_ARRAYS = ("d_logits", "d_cosines", "d_features", "d_weights")
@@ -551,7 +583,7 @@ def test_routes_give_the_same_bits_on_mined_masks(variant, monkeypatch):
         for route in ("sparse", "dense"):
             forced_route(monkeypatch, route)
             loss, cache = head_forward(x, w, labels, cfg)
-            assert cache.index.sparse == (route == "sparse")
+            assert cache.frozen.sparse == (route == "sparse")
             bundles.append(head_backward(loss, cache))
         for name in ("loss",) + BUNDLE_ARRAYS:
             assert np.asarray(getattr(bundles[0], name)).tobytes() == \

@@ -16,8 +16,9 @@ quartiles, the change/parent ratio of every pair and of the medians, and how
 many pairs the change won (lower is better for every end-to-end metric).
 ``--claim METRIC`` (on the first workload, or ``--claim-workload``) adds
 the verdict of the claim rule: the change wins at least nine tenths of the
-pairs, ties counting for neither, and the parent median minus the change
-median exceeds the parent's interquartile range.
+pairs, ties counting for neither, the parent median minus the change
+median exceeds the parent's interquartile range, and the change fails no
+larger share of its attempted operations than the parent.
 """
 
 import argparse
@@ -63,9 +64,9 @@ def _quartiles(values):
 
 def summarize(runs):
     """Per workload: every metric's medians, quartiles, pair ratios and the
-    pairs the change won, and each side's ``failed`` counts. ``runs`` lists
-    {"side", "workload", "seed", "result"}; a pair is the parent and change
-    run of one workload and seed."""
+    pairs the change won, and each side's ``failed`` and ``attempted``
+    counts. ``runs`` lists {"side", "workload", "seed", "result"}; a pair is
+    the parent and change run of one workload and seed."""
     pairs = {}
     for run in runs:
         pairs.setdefault((run["workload"], run["seed"]), {})[run["side"]] = run["result"]
@@ -73,9 +74,11 @@ def summarize(runs):
     for (workload, _), sides in pairs.items():
         if set(sides) != {"parent", "change"}:
             continue
-        entry = summary.setdefault(workload, {"failed": {"parent": [], "change": []}})
+        entry = summary.setdefault(workload, {
+            count: {"parent": [], "change": []} for count in ("failed", "attempted")})
         for side in ("parent", "change"):
-            entry["failed"][side].append(sides[side]["failed"])
+            for count in ("failed", "attempted"):
+                entry[count][side].append(sides[side][count])
         for metric in METRICS:
             parent = sides["parent"]["metrics"][metric]["value"]
             change = sides["change"]["metrics"][metric]["value"]
@@ -100,21 +103,31 @@ def summarize(runs):
     return summary
 
 
+def _fail_share(entry, side):
+    return sum(entry["failed"][side]) / max(1, sum(entry["attempted"][side]))
+
+
 def verdict(summary, workload, metric):
     """The claim rule for ``metric`` on ``workload`` (lower is better)."""
     entry = summary[workload][metric]
+    parent_fails, change_fails = (_fail_share(summary[workload], side)
+                                  for side in ("parent", "change"))
     wins, pairs = (int(part) for part in entry["pairs_change_lower"].split(" of "))
     low, _, high = entry["parent_quartiles"]
     gap = entry["parent_median"] - entry["change_median"]
     return {
         "metric": metric, "workload": workload,
-        "rule": ("change lower in at least 9 of 10 pairs, and parent median minus "
-                 "change median greater than the parent's interquartile range"),
+        "rule": ("change lower in at least 9 of 10 pairs, parent median minus change "
+                 "median greater than the parent's interquartile range, and a change "
+                 "share of failed operations no larger than the parent's"),
         "pairs_won": f"{wins} of {pairs}",
         "median_gap": round(gap, 4),
         "parent_iqr": round(high - low, 4),
         "median_pair_ratio": entry["median_pair_ratio"],
-        "met": pairs > 0 and wins >= WIN_SHARE * pairs and gap > high - low,
+        "failed_share": {"parent": round(parent_fails, 4),
+                         "change": round(change_fails, 4)},
+        "met": (pairs > 0 and wins >= WIN_SHARE * pairs and gap > high - low
+                and change_fails <= parent_fails),
     }
 
 

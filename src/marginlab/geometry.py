@@ -12,6 +12,8 @@ DEFAULT_EPS = 1e-12
 # below this sin(theta), the slope of ``cos_shifted`` is its analytic limit
 # cos(m) instead of sin(theta + m)/sin(theta)
 SIN_LIMIT = 1e-12
+# bytes of float64 one ``row_blocks`` block holds: half of a 2 MB L2 cache
+BLOCK_BYTES = 1 << 20
 
 
 def normalize(v, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -46,7 +48,8 @@ def cosine_matrix(features: np.ndarray, weights: np.ndarray, out=None) -> np.nda
 
     Returns an (N, C) matrix with entry (i, j) = <x_i, w_j>, clamped into
     [-1, 1] so accumulated rounding can never push a value outside the
-    arccos domain. Written into ``out`` when given, else a fresh array.
+    arccos domain (only when its min or max leaves [-1, 1] or is NaN; NaN
+    entries stay NaN). Written into ``out`` when given, else a fresh array.
     """
     features = np.asarray(features, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -55,7 +58,19 @@ def cosine_matrix(features: np.ndarray, weights: np.ndarray, out=None) -> np.nda
             f"features {features.shape} vs weights {weights.shape}"
         )
     product = np.matmul(features, weights.T, out=out)
-    return np.clip(product, -1.0, 1.0, out=product)
+    if product.size and not (product.min() >= -1.0 and product.max() <= 1.0):
+        np.clip(product, -1.0, 1.0, out=product)
+    return product
+
+
+def row_blocks(n: int, width: int) -> list:
+    """Slices covering rows 0..n-1 in blocks of at most ``BLOCK_BYTES`` of
+    float64 rows of ``width`` entries, and at least two rows: a one-row tail
+    joins the block before it, which may then hold one row more, because
+    BLAS takes a one-row product as a matrix-vector one, with other bits."""
+    rows = max(2, BLOCK_BYTES // (8 * max(width, 1)))
+    starts = range(0, n - 1, rows) if n > 1 else range(n)
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
 
 
 def cos_shifted(c, m, slope=False):

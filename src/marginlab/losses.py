@@ -28,7 +28,8 @@ Every stage after the cosines reads the labels, mask and margins from one
 checked ``Frozen`` record (``freeze``): the label entries' flat indices, the
 margins and the mask's flat indices on its minority side, the hard entries
 while under half (the sparse route, where the margins sum them too), else
-the easy ones (the dense route). Both hard-entry blends map the majority
+the easy ones (the dense route). Each stage first checks that the record
+fits its matrix (``Frozen.fit``). Both hard-entry blends map the majority
 over the whole matrix and put the minority's values at those indices.
 """
 
@@ -171,12 +172,26 @@ class Frozen(NamedTuple):
     """One batch's frozen auxiliaries as flat positions in its N x C
     matrices: each row's label entry (row * C + label), npcface's
     collaborative margins and, given a mask, its minority side: the hard
-    entries on the sparse route (``sparse``), else the easy ones."""
+    entries on the sparse route (``sparse``), else the easy ones. Both
+    index arrays ascend."""
 
     label: np.ndarray
     margins: np.ndarray | None = None
     few: np.ndarray | None = None
     sparse: bool = True
+
+    def masked(self, mask) -> "Frozen":
+        """This record with the minority side of ``mask``, a boolean of its matrix's shape."""
+        sparse = np.count_nonzero(mask) < _SPARSE_HARD * mask.size
+        return self._replace(few=np.flatnonzero(mask if sparse else ~mask), sparse=sparse)
+
+    def fit(self, shape) -> None:
+        """Raise DimensionMismatch unless the record has N label entries for
+        an N x C ``shape`` and its last label and ``few`` indices lie below N * C."""
+        n, c = shape
+        if self.label.size != n or any(a is not None and a.size and a[-1] >= n * c
+                                       for a in (self.label, self.few)):
+            raise DimensionMismatch(f"record of {self.label.size} rows does not fit {shape}")
 
 
 # Below this share of hard entries the sparse route, at or above it the dense
@@ -195,14 +210,13 @@ def freeze(shape, labels, mask=None, margins=None) -> Frozen:
         raise DimensionMismatch("label out of range for the class count")
     if margins is not None and np.shape(margins) != (n,):
         raise DimensionMismatch(f"margins shape {np.shape(margins)}, expected ({n},)")
-    label = np.arange(n) * c + labels.astype(np.intp)
+    frozen = Frozen(np.arange(n) * c + labels.astype(np.intp), margins)
     if mask is None:
-        return Frozen(label, margins)
+        return frozen
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != shape:
         raise DimensionMismatch(f"mask shape {mask.shape}, expected {shape}")
-    sparse = np.count_nonzero(mask) < _SPARSE_HARD * mask.size
-    return Frozen(label, margins, np.flatnonzero(mask if sparse else ~mask), sparse)
+    return frozen.masked(mask)
 
 
 def _blend(source, frozen, s, hard_map):
@@ -223,6 +237,7 @@ def forward_logits(cosines, frozen: Frozen, config: LossConfig) -> np.ndarray:
     """Margined logit matrix of one batch under its ``Frozen`` record, whose
     hard entries and margins only mv_softmax / npcface read."""
     cosines = np.asarray(cosines, dtype=np.float64)
+    frozen.fit(cosines.shape)
     rule = config._rule
     rule.require(config, frozen)
     logits = config.s * cosines if not rule.mines else _blend(
@@ -250,6 +265,7 @@ def row_losses(probs, frozen: Frozen) -> np.ndarray:
     """Cross-entropy -log p_y of every row, at the record's label entries;
     probabilities floored at 1e-300."""
     probs = np.asarray(probs, dtype=np.float64)
+    frozen.fit(probs.shape)
     return -np.log(np.maximum(probs.take(frozen.label), PROB_FLOOR))
 
 
@@ -264,6 +280,7 @@ def backward_logits(probs, frozen: Frozen) -> np.ndarray:
     Entry (i, k) = (p_ik - [k == y_i]) / N, so every row sums to zero.
     """
     probs = np.asarray(probs, dtype=np.float64)
+    frozen.fit(probs.shape)
     n = probs.shape[0]
     grad = probs / n
     np.put(grad, frozen.label, (probs.take(frozen.label) - 1.0) / n)
@@ -277,6 +294,7 @@ def backward_cosines(d_logits, cosines, frozen: Frozen, config: LossConfig) -> n
     cosines = np.asarray(cosines, dtype=np.float64)
     if d_logits.shape != cosines.shape:
         raise DimensionMismatch(f"d_logits shape {d_logits.shape}, expected {cosines.shape}")
+    frozen.fit(cosines.shape)
     rule = config._rule
     rule.require(config, frozen)
     d_cosines = d_logits * config.s if not rule.mines else _blend(
@@ -316,7 +334,7 @@ def frozen_auxiliaries(cosines, labels, config: LossConfig):
     if not rule.mines:
         return None, frozen
     mask = compute_mask(cosines, labels, config.m0)
-    frozen = freeze(cosines.shape, labels, mask)
+    frozen = frozen.masked(mask)
     if rule.collaborative:
         frozen = frozen._replace(margins=collaborative_margin(
             cosines, mask, config.m0, config.m1, hard=frozen.few if frozen.sparse else None))

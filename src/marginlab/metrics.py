@@ -17,7 +17,7 @@ from .errors import (
     InsufficientPairs,
     MissingMate,
 )
-from .geometry import normalize_rows
+from .geometry import normalize_rows, row_blocks
 from .seeds import named_rng
 
 
@@ -159,7 +159,8 @@ def rank1_identification(probe_embeddings, probe_labels, gallery_embeddings,
 
     A probe scores correct iff the single highest-cosine candidate is a
     gallery entry carrying the probe's label. Ties resolve to the lowest
-    candidate index (gallery rows come before distractor rows).
+    candidate index (gallery rows come before distractor rows). The
+    similarities are taken one probe block (``geometry.row_blocks``) at a time.
     """
     probes = normalize_rows(np.asarray(probe_embeddings, dtype=np.float64))
     gallery = normalize_rows(np.asarray(gallery_embeddings, dtype=np.float64))
@@ -175,8 +176,9 @@ def rank1_identification(probe_embeddings, probe_labels, gallery_embeddings,
     if missing.size:
         raise MissingMate(f"probe labels missing from gallery: {missing[:5].tolist()}")
 
-    sims = probes @ candidates.T
-    best = sims.argmax(axis=1)  # argmax takes the first (lowest-index) maximum
+    best = np.empty(probes.shape[0], dtype=np.intp)
+    for rows in row_blocks(probes.shape[0], candidates.shape[0]):
+        best[rows] = (probes[rows] @ candidates.T).argmax(axis=1)  # the first maximum
     in_gallery = best < gallery.shape[0]
     correct = in_gallery & (gallery_labels[np.minimum(best, gallery.shape[0] - 1)] == probe_labels)
     return float(np.mean(correct))

@@ -17,13 +17,10 @@ import numpy as np
 from . import hardness, losses
 from .data import SyntheticDatasetSpec, generate_dataset
 from .errors import DivergedLoss, ZeroNorm
-from .geometry import cosine_matrix, normalize_rows
+from .geometry import cosine_matrix, normalize_rows, row_blocks
 from .model import EmbeddingNet, ModelSpec, init_class_weights
 from .optim import OptimizerState, TrainingSchedule, sgd_step
 from .seeds import named_rng
-
-# rows per cosine block of the full-set scan: one block at C = 1000 is 8 MB
-_SCAN_ROWS = 1024
 
 
 @dataclass
@@ -73,16 +70,17 @@ def _batch_slices(n: int, batch_size: int):
 
 
 def full_set_cosines(model: EmbeddingNet, class_weights, inputs):
-    """Cosines of every input against every class, yielded in blocks of at
-    most ``_SCAN_ROWS`` rows; the forward pass and both normalizations run
-    once, before the first block. Every block is written into the same
-    array, so a consumer must be done with one block before the next."""
-    emb, _ = model.forward(inputs)
-    features, weights = normalize_rows(emb), normalize_rows(class_weights)
-    block = np.empty((min(_SCAN_ROWS, features.shape[0]), weights.shape[0]))
-    for start in range(0, features.shape[0], _SCAN_ROWS):
-        rows = features[start:start + _SCAN_ROWS]
-        yield cosine_matrix(rows, weights, out=block[:rows.shape[0]])
+    """Cosines of every input against every class, yielded in the row blocks
+    of ``geometry.row_blocks`` (about 1 MiB each); the forward pass and both
+    normalizations run once, and only the unit rows are kept. Every block is
+    written into one array sized for the largest block, so a consumer must
+    be done with one block before the next."""
+    features = normalize_rows(model.forward(inputs)[0])
+    weights = normalize_rows(class_weights)
+    blocks = row_blocks(features.shape[0], weights.shape[0])
+    buffer = np.empty((max((b.stop - b.start for b in blocks), default=0), weights.shape[0]))
+    for rows in blocks:
+        yield cosine_matrix(features[rows], weights, out=buffer[:rows.stop - rows.start])
 
 
 def epoch_diagnostics(epoch, lr, mean_loss, model, class_weights, inputs, labels,

@@ -1,7 +1,10 @@
 """The BENCH-file summary and claim verdict of ``tools/alternate_bench.py``,
 on synthetic result lines (no benchmark runs)."""
 
+import argparse
+import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -77,6 +80,42 @@ def test_verdict_is_not_met_when_the_change_fails_more():
     assert verdict["pairs_won"] == "10 of 10"
     assert verdict["failed_share"] == {"parent": 0.0, "change": 0.3333}
     assert verdict["met"] is False
+
+
+def test_env_reaches_the_run_and_keeps_the_rest(monkeypatch):
+    seen = {}
+
+    def fake_run(argv, **kwargs):
+        seen.update(kwargs)
+        return subprocess.CompletedProcess(argv, 0, json.dumps(result(7.0)) + "\n", "")
+
+    monkeypatch.setattr(alternate_bench.subprocess, "run", fake_run)
+    monkeypatch.setenv("KEPT", "1")
+    env = dict(alternate_bench.parse_env(text) for text in
+               ["MALLOC_MMAP_THRESHOLD_=131072", "MALLOC_TRIM_THRESHOLD_=a=b"])
+    got = alternate_bench.run_once("checkout", "corr1000", 3, 20, env)
+    assert got["metrics"]["run_s"]["value"] == 7.0
+    assert seen["cwd"] == "checkout"
+    assert seen["env"]["MALLOC_MMAP_THRESHOLD_"] == "131072"
+    assert seen["env"]["MALLOC_TRIM_THRESHOLD_"] == "a=b"
+    assert seen["env"]["KEPT"] == "1"
+    alternate_bench.run_once("checkout", "corr1000", 3, 20)
+    assert "MALLOC_MMAP_THRESHOLD_" not in seen["env"]
+
+
+def test_runs_under_another_env_are_summarized_apart():
+    setting = {"MALLOC_MMAP_THRESHOLD_": "131072"}
+    runs = runs_of(PARENT, [p * 0.75 for p in PARENT])
+    runs += [{**run, "env": setting} for run in runs_of(PARENT, PARENT)]
+    summary = alternate_bench.summarize(runs)
+    assert summary["corr1000"]["run_s"]["median_pair_ratio"] == 0.75
+    assert summary["corr1000 MALLOC_MMAP_THRESHOLD_=131072"]["run_s"]["median_pair_ratio"] == 1.0
+
+
+@pytest.mark.parametrize("text", ["NAME", "=1"])
+def test_env_needs_a_name_and_a_value(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        alternate_bench.parse_env(text)
 
 
 def test_parse_seeds():

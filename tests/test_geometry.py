@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from marginlab.errors import DimensionMismatch, ZeroNorm
-from marginlab.geometry import cos_shifted, cosine_matrix, normalize, normalize_rows
+from marginlab.geometry import (
+    BLOCK_BYTES,
+    cos_shifted,
+    cosine_matrix,
+    normalize,
+    normalize_rows,
+    row_blocks,
+)
 
 
 def test_normalize_three_four_five():
@@ -72,6 +79,49 @@ def test_cosine_matrix_clamped():
     x = normalize_rows(rng.standard_normal((50, 2)))
     c = cosine_matrix(x, x)
     assert c.max() <= 1.0 and c.min() >= -1.0
+
+
+def test_cosine_matrix_returns_an_in_range_product_as_it_is():
+    rng = np.random.default_rng(6)
+    x = normalize_rows(rng.standard_normal((40, 8)))
+    w = normalize_rows(rng.standard_normal((30, 8)))
+    product = x @ w.T
+    assert -1.0 <= product.min() and product.max() <= 1.0
+    assert cosine_matrix(x, w).tobytes() == product.tobytes()
+
+
+def test_cosine_matrix_clips_a_product_of_non_unit_rows():
+    rng = np.random.default_rng(7)
+    x = 2.0 * normalize_rows(rng.standard_normal((40, 8)))
+    w = normalize_rows(rng.standard_normal((30, 8)))
+    product = x @ w.T
+    assert product.max() > 1.0 and product.min() < -1.0
+    assert cosine_matrix(x, w).tobytes() == np.clip(product, -1.0, 1.0).tobytes()
+
+
+def test_cosine_matrix_keeps_nan_and_clips_around_it():
+    x = np.array([[np.nan, 0.0], [2.0, 0.0], [0.5, 0.0]])
+    c = cosine_matrix(x, np.array([[1.0, 0.0]]))
+    assert np.isnan(c[0, 0]) and c[1, 0] == 1.0 and c[2, 0] == 0.5
+    assert cosine_matrix(np.ones((0, 2)), np.ones((3, 2))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("width", [1, 9, 500, 1000, 10 ** 6])
+@pytest.mark.parametrize("n", [0, 1, 2, 130, 131, 132, 133, 1000, 2097])
+def test_row_blocks_cover_the_rows_without_one_row_blocks(n, width):
+    blocks = row_blocks(n, width)
+    sizes = [b.stop - b.start for b in blocks]
+    covered = [np.arange(n)[b] for b in blocks]
+    assert np.concatenate(covered or [[]]).tolist() == list(range(n))
+    assert all(size >= 2 for size in sizes) or sizes == [1]
+    rows = max(2, BLOCK_BYTES // (8 * width))
+    assert all(size == rows for size in sizes[:-1])
+    assert all(size <= rows + 1 for size in sizes)
+
+
+def test_row_blocks_fill_a_mebibyte():
+    assert row_blocks(10 ** 6, 1000)[0].stop == 131          # 131 * 1000 * 8 <= 2 ** 20
+    assert [b.stop - b.start for b in row_blocks(263, 1000)] == [131, 132]
 
 
 def test_cos_shifted_quarter_margin():

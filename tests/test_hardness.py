@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marginlab.errors import DegenerateVariance, EmptyPartition, InsufficientSamples
-from marginlab.geometry import cos_shifted
+from marginlab.geometry import BLOCK_BYTES, cos_shifted, cosine_matrix, normalize_rows, row_blocks
 from marginlab.hardness import collaborative_margin, compute_mask, row_scan
 from marginlab.model import EmbeddingNet, ModelSpec, init_class_weights
-from marginlab.train import _SCAN_ROWS, full_set_cosines
+from marginlab.train import full_set_cosines
 from oracles import scalar_pearson
 
 
@@ -362,5 +362,23 @@ class TestRowScan:
             tracemalloc.stop()
         assert scan.pos_cos.shape == (n,)
         assert peak < n * c * 8 / 2
-        # one block buffer, plus the length-N vectors
-        assert peak < 2 * _SCAN_ROWS * c * 8
+        # one block buffer of at most BLOCK_BYTES, plus the length-N vectors
+        assert peak < 2 * BLOCK_BYTES
+
+    def test_blocked_scan_is_the_one_block_scan_bit_for_bit(self):
+        # one row past three full blocks: the tail row joins the last block
+        c, d = 500, 8
+        rows = row_blocks(10 ** 6, c)[0].stop
+        n = 3 * rows + 1
+        rng = np.random.default_rng(29)
+        inputs = rng.standard_normal((n, d))
+        labels = rng.integers(0, c, n)
+        model = EmbeddingNet(ModelSpec(layer_widths=(d, 8, d), seed=1))
+        weights = init_class_weights(c, d, 1.0, 2)
+        sizes = [block.shape[0] for block in full_set_cosines(model, weights, inputs)]
+        assert sizes == [rows, rows, rows + 1]
+        blocked = row_scan(full_set_cosines(model, weights, inputs), labels, 0.1)
+        whole = cosine_matrix(normalize_rows(model.forward(inputs)[0]), normalize_rows(weights))
+        one_block = row_scan([whole], labels, 0.1)
+        for name in ("pos_cos", "nearest", "pred", "mis"):
+            assert getattr(blocked, name).tobytes() == getattr(one_block, name).tobytes()

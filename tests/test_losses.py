@@ -203,21 +203,35 @@ def test_hard_entries_match_the_plain_blend_at_any_density(variant, density):
     assert d_cos[negatives].tobytes() == blend[negatives].tobytes()
 
 
-@pytest.mark.parametrize("stage", ["forward_logits", "backward_cosines"])
 @pytest.mark.parametrize("shape", [(5, 9), (6, 1), (6, 10)], ids=["short", "column", "wide"])
-def test_misshaped_mask_is_rejected(stage, shape):
+def test_misshaped_mask_is_rejected(shape):
     rng = np.random.default_rng(34)
-    cos, d_logits = rng.uniform(-1, 1, (6, 9)), rng.standard_normal((6, 9))
     labels = rng.integers(0, 9, 6)
     mask = np.zeros(shape, dtype=bool)
     mask[0, 0] = True
-    cfg, margins = npc_config(), np.full(6, 0.4)
     with pytest.raises(DimensionMismatch, match="mask shape"):
-        frozen = freeze(cos.shape, labels, mask, margins)
-        if stage == "forward_logits":
-            forward_logits(cos, frozen, cfg)
-        else:
-            backward_cosines(d_logits, cos, frozen, cfg)
+        freeze((6, 9), labels, mask, np.full(6, 0.4))
+
+
+def test_stages_reject_a_record_of_another_matrix():
+    # six rows of nine classes against records built for other shapes
+    arcface = LossConfig(variant=Variant.ARCFACE)
+    cos, probs = np.full((6, 9), 0.5), np.full((6, 9), 1 / 9)
+    fewer_rows, wider = freeze((2, 27), [0, 1]), np.zeros((6, 10), dtype=bool)
+    wider[-1, -1] = True                     # flat index 59, past 6 * 9
+    with pytest.raises(DimensionMismatch, match="does not fit"):
+        forward_logits(cos, freeze((1, 2), [0]), arcface)
+    with pytest.raises(DimensionMismatch, match="does not fit"):
+        losses.row_losses(probs, fewer_rows)
+    with pytest.raises(DimensionMismatch, match="does not fit"):
+        backward_logits(probs, fewer_rows)
+    with pytest.raises(DimensionMismatch, match="does not fit"):   # a label index past N * C
+        backward_cosines(probs, cos, freeze((6, 10), [0] * 5 + [9]), arcface)
+    with pytest.raises(DimensionMismatch, match="does not fit"):   # a hard index past N * C
+        backward_cosines(probs, cos, freeze((6, 10), [0] * 6, wider, np.full(6, 0.4)),
+                         npc_config())
+    fits = freeze(cos.shape, [0] * 5 + [8], np.eye(6, 9, 1, dtype=bool), np.full(6, 0.4))
+    assert backward_cosines(probs, cos, fits, npc_config()).shape == (6, 9)
 
 
 @pytest.mark.parametrize("margins", [[0.4], [0.4, 0.4, 0.4]], ids=["one", "three"])

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from marginlab.config import build_config
 from marginlab.data import evaluation_split
+from marginlab.geometry import normalize_rows, row_blocks
 from marginlab.errors import (
     AllRejected,
     DegenerateInput,
@@ -236,6 +239,58 @@ class TestRank1:
                                          gallery.tolist(), gallery_labels.tolist(),
                                          distractors.tolist())
             assert abs(got - expected) < 1e-12
+
+    def test_blocks_give_the_whole_matrix_argmax(self):
+        # one probe past three full blocks, so the tail row joins the last block
+        rng = np.random.default_rng(39)
+        g, n_distractors, d = 300, 900, 8
+        rows = row_blocks(10 ** 6, g + n_distractors)[0].stop
+        p = 3 * rows + 1
+        gallery = rng.standard_normal((g, d))
+        distractors = rng.standard_normal((n_distractors, d))
+        gallery_labels = rng.integers(0, 150, g)
+        mates = rng.integers(0, g, p)
+        probes = gallery[mates] + 0.8 * rng.standard_normal((p, d))
+        probe_labels = gallery_labels[mates]
+        candidates = normalize_rows(np.vstack([gallery, distractors]))
+        best = (normalize_rows(probes) @ candidates.T).argmax(axis=1)
+        mate = np.minimum(best, g - 1)
+        expected = np.mean((best < g) & (gallery_labels[mate] == probe_labels))
+        assert 0.2 < expected < 0.8
+        got = rank1_identification(probes, probe_labels, gallery, gallery_labels, distractors)
+        assert got == float(expected)
+
+    def test_exact_ties_across_a_block_boundary_go_to_the_lowest_index(self):
+        # axis-aligned rows give exact cosines; every probe ties with the two
+        # gallery rows and the distractors on its axis, and only the lowest
+        # candidate index carries its label in the first half of the probes
+        d, g, n_distractors = 8, 16, 1008
+        rows = row_blocks(10 ** 6, g + n_distractors)[0].stop
+        p = 2 * rows + 1
+        axis = np.arange(p) % d
+        probes = np.eye(d)[axis]
+        gallery = np.eye(d)[np.arange(g) % d]
+        distractors = np.eye(d)[np.arange(n_distractors) % d]
+        first = np.arange(p) < rows + rows // 2             # straddles the boundary at ``rows``
+        probe_labels = np.where(first, axis, axis + d)
+        got = rank1_identification(probes, probe_labels, gallery, np.arange(g), distractors)
+        assert got == float(np.mean(first))
+
+    def test_holds_a_block_not_the_matrix(self):
+        rng = np.random.default_rng(40)
+        p, g, n_distractors, d = 2000, 200, 1000, 8
+        assert len(row_blocks(p, g + n_distractors)) >= 4
+        gallery = rng.standard_normal((g, d))
+        probes = gallery[rng.integers(0, g, p)] + 0.5 * rng.standard_normal((p, d))
+        distractors = rng.standard_normal((n_distractors, d))
+        tracemalloc.start()
+        try:
+            rank1_identification(probes, np.zeros(p, dtype=int), gallery, np.zeros(g, dtype=int),
+                                 distractors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p * (g + n_distractors) * 8 / 4
 
     def test_distractors_never_help(self):
         rng = np.random.default_rng(37)

@@ -7,9 +7,13 @@
 workload and seed, ``python3 benchmarks/run.py --workload W --seed S
 --seconds N --trace 0`` runs once in each checkout, from its root, one run at
 a time: the parent first at even seeds, the change first at odd ones. The
-last stdout line of each run is its result. ``--append`` adds the runs to an
-existing file instead of replacing it; the summary covers every run in the
-file.
+last stdout line of each run is its result. ``--env NAME=VALUE`` (repeatable)
+sets an environment variable for both sides' runs, for example
+``--env MALLOC_MMAP_THRESHOLD_=131072`` to fix glibc's allocator layout; each
+run records its settings, and the summary keeps runs under different
+settings apart, as workload "corr1000 MALLOC_MMAP_THRESHOLD_=131072".
+``--append`` adds the runs to an existing file instead of replacing it; the
+summary covers every run in the file.
 
 Per workload and end-to-end metric the summary gives each side's median and
 quartiles, the change/parent ratio of every pair and of the medians, and how
@@ -44,11 +48,26 @@ def parse_seeds(text):
     return seeds
 
 
-def run_once(checkout, workload, seed, seconds):
-    """One benchmark run in ``checkout``: its parsed last stdout line."""
+def parse_env(text):
+    """'NAME=VALUE' -> ("NAME", "VALUE")."""
+    name, sep, value = text.partition("=")
+    if not name or not sep:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    return name, value
+
+
+def env_label(env):
+    """The suffix a run's ``env`` adds to its workload in the summary."""
+    return "".join(f" {name}={value}" for name, value in sorted(env.items()))
+
+
+def run_once(checkout, workload, seed, seconds, env=None):
+    """One benchmark run in ``checkout``, with ``env`` added to this
+    process's environment: its parsed last stdout line."""
     argv = [sys.executable, "benchmarks/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False,
+                          env={**os.environ, **(env or {})})
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"alternate_bench: {workload} seed {seed} in {checkout} exited "
@@ -65,11 +84,13 @@ def _quartiles(values):
 def summarize(runs):
     """Per workload: every metric's medians, quartiles, pair ratios and the
     pairs the change won, and each side's ``failed`` and ``attempted``
-    counts. ``runs`` lists {"side", "workload", "seed", "result"}; a pair is
-    the parent and change run of one workload and seed."""
+    counts. ``runs`` lists {"side", "workload", "seed", "env", "result"}
+    ("env" may be missing); a pair is the parent and change run of one
+    workload, seed and env, and the env's settings follow the workload's name."""
     pairs = {}
     for run in runs:
-        pairs.setdefault((run["workload"], run["seed"]), {})[run["side"]] = run["result"]
+        workload = run["workload"] + env_label(run.get("env", {}))
+        pairs.setdefault((workload, run["seed"]), {})[run["side"]] = run["result"]
     summary = {}
     for (workload, _), sides in pairs.items():
         if set(sides) != {"parent", "change"}:
@@ -150,10 +171,13 @@ def main(argv=None):
     parser.add_argument("--append", action="store_true", help="add to the runs in --out")
     parser.add_argument("--claim", help="end-to-end metric the change claims")
     parser.add_argument("--claim-workload", help="workload of the claim (default: the first)")
+    parser.add_argument("--env", type=parse_env, action="append", default=[],
+                        metavar="NAME=VALUE", help="environment setting of every run (repeatable)")
     parser.add_argument("--what", default="benchmarks/run.py results, parent vs change, "
                                           "alternated run by run")
     args = parser.parse_args(argv)
     workloads, seeds = args.workloads.split(","), parse_seeds(args.seeds)
+    env = dict(args.env)
 
     bench = {"runs": []}
     if args.append:
@@ -164,10 +188,11 @@ def main(argv=None):
         for seed in seeds:
             order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_once(checkouts[side], workload, seed, args.seconds)
+                result = run_once(checkouts[side], workload, seed, args.seconds, env)
                 bench["runs"].append({"side": side, "workload": workload, "seed": seed,
-                                      "result": result})
-                print(side, workload, seed, json.dumps(result["metrics"]), flush=True)
+                                      "env": env, "result": result})
+                print(side, workload + env_label(env), seed, json.dumps(result["metrics"]),
+                      flush=True)
     bench.setdefault("what", args.what)
     bench["command"] = COMMAND.format(seconds=args.seconds)
     bench.setdefault("order", "per workload and seed one pair, the parent first at even "
@@ -176,7 +201,7 @@ def main(argv=None):
     bench.setdefault("machine", machine(args.change))
     bench["summary"] = summarize(bench["runs"])
     if args.claim:
-        claimed = args.claim_workload or workloads[0]
+        claimed = (args.claim_workload or workloads[0]) + env_label(env)
         bench["claim"] = verdict(bench["summary"], claimed, args.claim)
     else:
         bench.setdefault("claim", None)

@@ -203,14 +203,21 @@ def test_hard_entries_match_the_plain_blend_at_any_density(variant, density):
     assert d_cos[negatives].tobytes() == blend[negatives].tobytes()
 
 
+@pytest.mark.parametrize("stage", ["forward_logits", "backward_cosines"])
 @pytest.mark.parametrize("shape", [(5, 9), (6, 1), (6, 10)], ids=["short", "column", "wide"])
-def test_misshaped_mask_is_rejected(shape):
+def test_misshaped_mask_is_rejected(stage, shape):
+    # a given mask reaches a stage only through the entry point's freeze: the
+    # forward stages through head_forward, the backward ones through
+    # loss_and_gradients under the other masked variant
     rng = np.random.default_rng(34)
+    x, w = rng.standard_normal((6, 4)), rng.standard_normal((9, 4))
     labels = rng.integers(0, 9, 6)
     mask = np.zeros(shape, dtype=bool)
     mask[0, 0] = True
+    entry, variant = {"forward_logits": (head_forward, Variant.NPCFACE),
+                      "backward_cosines": (loss_and_gradients, Variant.MV_SOFTMAX)}[stage]
     with pytest.raises(DimensionMismatch, match="mask shape"):
-        freeze((6, 9), labels, mask, np.full(6, 0.4))
+        entry(x, w, labels, npc_config(variant=variant), mask, np.full(6, 0.4))
 
 
 def test_stages_reject_a_record_of_another_matrix():

@@ -257,8 +257,9 @@ def _parse_shape(text):
             if not eq or key not in shape:
                 raise ConfigParseError(f"bad shape item {item!r}; keys: n,c,d,input,hidden")
             value = value.strip()
-            if not value.isdecimal() or int(value) < 1:
-                raise ConfigParseError(f"bad shape item {item!r}; values must be positive integers")
+            least = 2 if key in ("c", "d") else 1     # one class or a 1-d embedding: zero gradients
+            if not value.isdecimal() or int(value) < least:
+                raise ConfigParseError(f"bad shape item {item!r}; {key} must be an integer >= {least}")
             shape[key] = int(value)
     return shape
 
@@ -402,9 +403,6 @@ def main(argv=None) -> int:
     except ConfigParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DivergedLoss as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
     except (InfeasiblePairCount, InsufficientPairs) as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT

@@ -28,9 +28,10 @@ Every stage after the cosines reads the labels, mask and margins from one
 checked ``Frozen`` record (``freeze``): the label entries' flat indices, the
 margins and the mask's flat indices on its minority side, the hard entries
 while under half (the sparse route, where the margins sum them too), else
-the easy ones (the dense route). Each stage first checks that the record
-fits its matrix (``Frozen.fit``). Both hard-entry blends map the majority
-over the whole matrix and put the minority's values at those indices.
+the easy ones (the dense route). The record carries the N x C ``shape`` it
+indexes, and each stage takes its matrix through ``Frozen.fit``, which
+rejects any other shape. Both hard-entry blends map the majority over the
+whole matrix and put the minority's values at those indices.
 """
 
 from dataclasses import dataclass, field
@@ -170,11 +171,12 @@ class GradientBundle:
 
 class Frozen(NamedTuple):
     """One batch's frozen auxiliaries as flat positions in its N x C
-    matrices: each row's label entry (row * C + label), npcface's
-    collaborative margins and, given a mask, its minority side: the hard
-    entries on the sparse route (``sparse``), else the easy ones. Both
-    index arrays ascend."""
+    matrices, of ``shape`` (N, C): each row's label entry (row * C + label),
+    npcface's collaborative margins and, given a mask, its minority side:
+    the hard entries on the sparse route (``sparse``), else the easy ones.
+    Both index arrays ascend."""
 
+    shape: tuple
     label: np.ndarray
     margins: np.ndarray | None = None
     few: np.ndarray | None = None
@@ -185,13 +187,13 @@ class Frozen(NamedTuple):
         sparse = np.count_nonzero(mask) < _SPARSE_HARD * mask.size
         return self._replace(few=np.flatnonzero(mask if sparse else ~mask), sparse=sparse)
 
-    def fit(self, shape) -> None:
-        """Raise DimensionMismatch unless the record has N label entries for
-        an N x C ``shape`` and its last label and ``few`` indices lie below N * C."""
-        n, c = shape
-        if self.label.size != n or any(a is not None and a.size and a[-1] >= n * c
-                                       for a in (self.label, self.few)):
-            raise DimensionMismatch(f"record of {self.label.size} rows does not fit {shape}")
+    def fit(self, array) -> np.ndarray:
+        """``array`` as float64; raises DimensionMismatch unless it is the
+        N x C matrix the record indexes."""
+        array = np.asarray(array, dtype=np.float64)
+        if array.shape != self.shape:
+            raise DimensionMismatch(f"record for {self.shape} does not fit {array.shape}")
+        return array
 
 
 # Below this share of hard entries the sparse route, at or above it the dense
@@ -210,12 +212,12 @@ def freeze(shape, labels, mask=None, margins=None) -> Frozen:
         raise DimensionMismatch("label out of range for the class count")
     if margins is not None and np.shape(margins) != (n,):
         raise DimensionMismatch(f"margins shape {np.shape(margins)}, expected ({n},)")
-    frozen = Frozen(np.arange(n) * c + labels.astype(np.intp), margins)
+    frozen = Frozen((n, c), np.arange(n) * c + labels.astype(np.intp), margins)
     if mask is None:
         return frozen
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != shape:
-        raise DimensionMismatch(f"mask shape {mask.shape}, expected {shape}")
+    if mask.shape != frozen.shape:
+        raise DimensionMismatch(f"mask shape {mask.shape}, expected {frozen.shape}")
     return frozen.masked(mask)
 
 
@@ -236,8 +238,7 @@ def _blend(source, frozen, s, hard_map):
 def forward_logits(cosines, frozen: Frozen, config: LossConfig) -> np.ndarray:
     """Margined logit matrix of one batch under its ``Frozen`` record, whose
     hard entries and margins only mv_softmax / npcface read."""
-    cosines = np.asarray(cosines, dtype=np.float64)
-    frozen.fit(cosines.shape)
+    cosines = frozen.fit(cosines)
     rule = config._rule
     rule.require(config, frozen)
     logits = config.s * cosines if not rule.mines else _blend(
@@ -264,8 +265,7 @@ def softmax_probabilities(logits, out=None) -> np.ndarray:
 def row_losses(probs, frozen: Frozen) -> np.ndarray:
     """Cross-entropy -log p_y of every row, at the record's label entries;
     probabilities floored at 1e-300."""
-    probs = np.asarray(probs, dtype=np.float64)
-    frozen.fit(probs.shape)
+    probs = frozen.fit(probs)
     return -np.log(np.maximum(probs.take(frozen.label), PROB_FLOOR))
 
 
@@ -279,8 +279,7 @@ def backward_logits(probs, frozen: Frozen) -> np.ndarray:
 
     Entry (i, k) = (p_ik - [k == y_i]) / N, so every row sums to zero.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    frozen.fit(probs.shape)
+    probs = frozen.fit(probs)
     n = probs.shape[0]
     grad = probs / n
     np.put(grad, frozen.label, (probs.take(frozen.label) - 1.0) / n)
@@ -291,10 +290,9 @@ def backward_cosines(d_logits, cosines, frozen: Frozen, config: LossConfig) -> n
     """Chain ``d_logits`` through the margined logit map: returns dL/dcos,
     under the ``Frozen`` record that produced the matching forward logits."""
     d_logits = np.asarray(d_logits, dtype=np.float64)
-    cosines = np.asarray(cosines, dtype=np.float64)
+    cosines = frozen.fit(cosines)
     if d_logits.shape != cosines.shape:
         raise DimensionMismatch(f"d_logits shape {d_logits.shape}, expected {cosines.shape}")
-    frozen.fit(cosines.shape)
     rule = config._rule
     rule.require(config, frozen)
     d_cosines = d_logits * config.s if not rule.mines else _blend(
@@ -326,26 +324,26 @@ def backward_parameters(d_cosines, cache: "HeadCache"):
     return d_features, d_weights
 
 
-def frozen_auxiliaries(cosines, labels, config: LossConfig):
-    """The hard mask a variant mines from ``cosines`` (None for the plain
-    variants) and the batch's ``Frozen`` record, with npcface's margins."""
+def frozen_auxiliaries(cosines, labels, config: LossConfig) -> Frozen:
+    """The batch's ``Frozen`` record with the hard mask a variant mines from
+    ``cosines`` (none for the plain variants) and npcface's margins."""
     frozen = freeze(cosines.shape, labels)      # before compute_mask reads the labels
     rule = config._rule
     if not rule.mines:
-        return None, frozen
+        return frozen
     mask = compute_mask(cosines, labels, config.m0)
     frozen = frozen.masked(mask)
     if rule.collaborative:
         frozen = frozen._replace(margins=collaborative_margin(
             cosines, mask, config.m0, config.m1, hard=frozen.few if frozen.sparse else None))
-    return mask, frozen
+    return frozen
 
 
 @dataclass
 class HeadCache:
     """What ``head_backward`` reads from the forward pass: the unit rows and
-    raw row norms of both inputs, the cosines, the mask and the batch's
-    ``Frozen`` record, and the softmax probabilities."""
+    raw row norms of both inputs, the cosines, the batch's ``Frozen`` record
+    (the only copy of its mask, as indices) and the softmax probabilities."""
 
     features: np.ndarray
     weights: np.ndarray
@@ -353,20 +351,18 @@ class HeadCache:
     weight_norms: np.ndarray
     config: LossConfig
     cosines: np.ndarray
-    mask: np.ndarray | None
     frozen: Frozen
     probs: np.ndarray
     _tiles: dict = field(default_factory=dict, repr=False)
 
     def tiled(self, groups):
         """The ``Frozen`` record of ``groups`` copies of the batch stacked
-        row-wise, tiled once per number of copies."""
+        row-wise, of shape (groups * N, C), tiled once per number of copies."""
         if groups not in self._tiles:
-            n, c = self.cosines.shape
+            (n, c), label, margins, few, sparse = self.frozen
             shifts = np.arange(groups)[:, None] * (n * c)      # flat offset of each copy
             shift = lambda a: None if a is None else (shifts + a).ravel()
-            label, margins, few, sparse = self.frozen
-            self._tiles[groups] = Frozen(shift(label), None if margins is None
+            self._tiles[groups] = Frozen((groups * n, c), shift(label), None if margins is None
                                          else np.tile(margins, groups), shift(few), sparse)
         return self._tiles[groups]
 
@@ -374,26 +370,26 @@ class HeadCache:
 def head_forward(raw_features, raw_weights, labels, config: LossConfig, mask=None, margins=None):
     """Batch loss from raw features and weights: returns (loss, HeadCache).
 
-    When ``mask``/``margins`` are omitted they are mined from the current
-    cosines (the per-iteration semantics). Pass them to evaluate the head
-    under given auxiliaries: a cache's frozen ones, or a chosen mask such as
-    an empty one, under which mv_softmax reduces to arcface. ``freeze``
+    When both ``mask`` and ``margins`` are omitted they are mined from the
+    current cosines (the per-iteration semantics). Pass them to evaluate the
+    head under given auxiliaries: a cache's frozen ones, or a chosen mask such
+    as an empty one, under which mv_softmax reduces to arcface; a masked
+    variant given margins without a mask raises ConfigMismatch. ``freeze``
     checks the labels and the given auxiliaries once.
     """
     features, feature_norms = normalize_rows(raw_features, return_norms=True)
     weights, weight_norms = normalize_rows(raw_weights, return_norms=True)
     cosines = cosine_matrix(features, weights)
     rule = config._rule
-    if mask is None and rule.mines:
-        mask, frozen = frozen_auxiliaries(cosines, labels, config)
+    if rule.mines and mask is None and margins is None:
+        frozen = frozen_auxiliaries(cosines, labels, config)
     else:
         frozen = freeze(cosines.shape, labels, mask if rule.mines else None, margins)
     logits = forward_logits(cosines, frozen, config)
     probs = softmax_probabilities(logits, out=logits)
     loss = loss_value(probs, frozen)
-    cache = HeadCache(features, weights, feature_norms, weight_norms, config,
-                      cosines, mask, frozen, probs)
-    return loss, cache
+    return loss, HeadCache(features, weights, feature_norms, weight_norms, config,
+                           cosines, frozen, probs)
 
 
 def head_backward(loss: float, cache: HeadCache) -> GradientBundle:
@@ -418,12 +414,12 @@ def stacked_losses(cache: HeadCache, features=None, weights=None) -> np.ndarray:
     Pass either ``features``, K copies of the raw features stacked as K*N
     rows (the class weights are the cached ones), or ``weights``, K copies
     of the raw class weights stacked as K*C rows (the features are the
-    cached ones). Entry k is the loss ``head_forward`` gives for copy k with
-    ``cache.mask`` and ``cache.frozen.margins``, bit for bit, provided the
+    cached ones). Entry k is the loss ``head_forward`` gives for copy k under
+    the mask and margins of ``cache.frozen``, bit for bit, provided the
     stack is laid out in memory like the array it copies: the row norms then
     sum in the same order.
     """
-    n, c = cache.cosines.shape
+    n, c = cache.frozen.shape
     if weights is None:
         cosines = cosine_matrix(normalize_rows(features), cache.weights)
     else:

@@ -12,7 +12,7 @@ stacked evaluation of the package's checks can be held to it bit for bit.
 import itertools
 import math
 
-from marginlab import losses
+from marginlab import hardness, losses
 
 
 def scalar_normalize(vector):
@@ -244,10 +244,12 @@ def sequential_end_to_end_check(model, class_weights, inputs, labels, config,
         param_grads[0] = param_grads[0].copy()
         param_grads[0].flat[0] += corrupt_first_gradient
 
+    mask = hardness.compute_mask(head.cosines, labels, config.m0)
+
     def loss_now():
         emb_now, _ = model.forward(inputs)
         return losses.head_forward(emb_now, class_weights, labels, config,
-                                   head.mask, head.frozen.margins)[0]
+                                   mask, head.frozen.margins)[0]
 
     names = [f"layer{i}.{kind}" for i in range(model.n_layers) for kind in ("weight", "bias")]
     tensors = list(zip(names, model.params, param_grads))
@@ -263,9 +265,11 @@ def sequential_finite_difference_check(features, weights, labels, config, epsilo
     loss, cache = losses.head_forward(features, weights, labels, config)
     bundle = losses.head_backward(loss, cache)
 
+    mask = hardness.compute_mask(cache.cosines, labels, config.m0)
+
     def loss_now():
         return losses.head_forward(features, weights, labels, config,
-                                   cache.mask, cache.frozen.margins)[0]
+                                   mask, cache.frozen.margins)[0]
 
     tensors = [("features", features, bundle.d_features), ("weights", weights, bundle.d_weights)]
     return sequential_central_difference(loss_now, tensors, epsilon)

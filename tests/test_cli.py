@@ -574,9 +574,11 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--variant", "npcface", "--shape", "n=x"]) == 2
         assert_one_line_config_error(capsys)
 
-    def test_empty_shape_rejected(self, capsys):
-        # an empty batch has a NaN loss; it must not pass vacuously
-        assert main(["gradcheck", "--variant", "npcface", "--shape", "n=0"]) == 2
+    @pytest.mark.parametrize("shape", ["n=0", "c=1", "d=1"])
+    def test_empty_shape_rejected(self, capsys, shape):
+        # an empty batch has a NaN loss, and one class or a 1-d embedding
+        # gives exactly zero gradients; none may pass vacuously
+        assert main(["gradcheck", "--variant", "npcface", "--shape", shape]) == 2
         assert_one_line_config_error(capsys)
 
     @pytest.mark.parametrize("flag", ["--scale", "--threshold"])

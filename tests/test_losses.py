@@ -241,6 +241,40 @@ def test_stages_reject_a_record_of_another_matrix():
     assert backward_cosines(probs, cos, fits, npc_config()).shape == (6, 9)
 
 
+@pytest.mark.parametrize("classes", [1, 10], ids=["fewer", "more"])
+def test_stages_reject_a_record_of_the_same_rows_and_other_classes(classes):
+    # every flat index of such a record lies below 6 * 9 (at most 50 for ten
+    # classes), so only the record's shape tells it from a 6 x 9 one
+    arcface = LossConfig(variant=Variant.ARCFACE)
+    cos, probs = np.full((6, 9), 0.5), np.full((6, 9), 1 / 9)
+    other = freeze((6, classes), [0] * 6)
+    for stage in (lambda: forward_logits(cos, other, arcface),
+                  lambda: losses.row_losses(probs, other),
+                  lambda: backward_logits(probs, other),
+                  lambda: backward_cosines(probs, cos, other, arcface)):
+        with pytest.raises(DimensionMismatch, match="does not fit"):
+            stage()
+
+
+def test_tiled_record_has_the_stacked_shape():
+    rng = np.random.default_rng(40)
+    x, w = rng.standard_normal((6, 4)), rng.standard_normal((9, 4))
+    cache = head_forward(x, w, rng.integers(0, 9, 6), npc_config())[1]
+    assert cache.frozen.shape == (6, 9)
+    for groups in (1, 3, 8):
+        assert cache.tiled(groups).shape == (groups * 6, 9)
+
+
+@pytest.mark.parametrize("variant", losses.MASKED_VARIANTS)
+def test_margins_without_a_mask_are_rejected(variant):
+    # given margins must not be dropped for mined ones
+    rng = np.random.default_rng(41)
+    x, w = rng.standard_normal((6, 4)), rng.standard_normal((9, 4))
+    labels = rng.integers(0, 9, 6)
+    with pytest.raises(ConfigMismatch, match="requires a hard mask"):
+        loss_and_gradients(x, w, labels, npc_config(variant=variant), None, np.full(6, 3.0))
+
+
 @pytest.mark.parametrize("margins", [[0.4], [0.4, 0.4, 0.4]], ids=["one", "three"])
 def test_misshaped_margins_are_rejected(margins):
     # a single margin must not be broadcast to every row
@@ -528,17 +562,18 @@ class TestFiniteDifferenceCheck:
 class TestFrozenAuxiliaries:
     def test_plain_variants_get_none(self):
         cos = np.array([[0.9, 0.1]])
-        mask, frozen = frozen_auxiliaries(cos, np.array([0]),
-                                          LossConfig(variant=Variant.ARCFACE))
-        assert mask is None and frozen.margins is None
+        frozen = frozen_auxiliaries(cos, np.array([0]), LossConfig(variant=Variant.ARCFACE))
+        assert frozen.few is None and frozen.margins is None
 
     def test_npcface_gets_consistent_pair(self):
         rng = np.random.default_rng(19)
         cos = np.clip(rng.uniform(-1, 1, (6, 9)), -1, 1)
         y = rng.integers(0, 9, 6)
         cfg = npc_config()
-        mask, frozen = frozen_auxiliaries(cos, y, cfg)
-        np.testing.assert_array_equal(mask, compute_mask(cos, y, cfg.m0))
+        frozen = frozen_auxiliaries(cos, y, cfg)
+        mask = compute_mask(cos, y, cfg.m0)
+        assert frozen.shape == cos.shape
+        np.testing.assert_array_equal(frozen.few, np.flatnonzero(mask if frozen.sparse else ~mask))
         np.testing.assert_array_equal(
             frozen.margins, collaborative_margin(cos, mask, cfg.m0, cfg.m1))
 

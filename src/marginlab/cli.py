@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import math
 import os
+import pickle
 import sys
 import time
 
@@ -39,6 +40,10 @@ EXIT_INSUFFICIENT = 4
 EXIT_GRADCHECK = 5
 
 GRADCHECK_THRESHOLD = 1e-5
+# default re-scaling 64 saturates double-precision finite differences (loss
+# differences underflow); gradcheck runs at a numerically informative s
+# unless its token sets its own
+GRADCHECK_SCALE = 12.0
 
 
 def final_metrics(result, experiment: ExperimentConfig) -> dict:
@@ -128,7 +133,12 @@ def _train_each(command, runs, finish):
     usable CPU; a run that diverges is reported and skipped. Returns the
     [(name, finish(result, experiment))] of the finished runs and the names
     of the diverged ones, both in run order. Any other error cancels the
-    runs not yet started and is raised."""
+    runs not yet started and is raised. ``finish`` must pickle: the pool
+    sends it to the workers, and hangs on one that does not."""
+    try:
+        pickle.dumps(finish)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise TypeError(f"{command}: finish {finish!r} cannot be sent to a worker: {exc}")
     # imported here: the process pool's modules take ~20 ms, a tenth of the CLI's import
     import concurrent.futures
     import multiprocessing
@@ -264,30 +274,30 @@ def _parse_shape(text):
     return shape
 
 
+def gradcheck_instance(token, shape_text, seed, activation, scale=GRADCHECK_SCALE):
+    """The instance ``gradcheck`` checks: (model, class weights, inputs,
+    labels, loss config). A bad token is reported before a bad shape."""
+    config = _with_token(build_config({"loss.s": scale}), token).loss
+    shape = _parse_shape(shape_text)
+    spec = ModelSpec(layer_widths=(shape["input"], shape["hidden"], shape["d"]),
+                     activation=activation, seed=seed)
+    rng = named_rng(seed, "gradcheck")
+    inputs = rng.standard_normal((shape["n"], shape["input"]))
+    labels = rng.integers(0, shape["c"], size=shape["n"])
+    class_weights = init_class_weights(shape["c"], shape["d"], spec.init_scale, seed)
+    return EmbeddingNet(spec), class_weights, inputs, labels, config
+
+
 def cmd_gradcheck(args) -> int:
     if not 0 < args.threshold < math.inf:
         raise ConfigParseError(f"--threshold must be positive and finite, got {args.threshold}")
-    # default re-scaling 64 saturates double-precision finite differences
-    # (loss differences underflow); check at a numerically informative s
-    # unless the token sets its own
-    variant = _with_token(build_config({"loss.s": args.scale}), args.variant).loss
-    shape = _parse_shape(args.shape)
+    instance = gradcheck_instance(args.variant, args.shape, args.seed, args.activation, args.scale)
     try:
         losses.check_epsilon(args.epsilon)
     except ValueError as exc:
         raise ConfigParseError(f"--epsilon: {exc}")
-    spec = ModelSpec(layer_widths=(shape["input"], shape["hidden"], shape["d"]),
-                     activation=args.activation, seed=args.seed)
-    model = EmbeddingNet(spec)
-    rng = named_rng(args.seed, "gradcheck")
-    inputs = rng.standard_normal((shape["n"], shape["input"]))
-    labels = rng.integers(0, shape["c"], size=shape["n"])
-    class_weights = init_class_weights(shape["c"], shape["d"], spec.init_scale, args.seed)
-
-    err, worst = end_to_end_check(
-        model, class_weights, inputs, labels, variant, epsilon=args.epsilon,
-        corrupt_first_gradient=1e-3 if args.corrupt else 0.0,
-    )
+    err, worst = end_to_end_check(*instance, epsilon=args.epsilon,
+                                  corrupt_first_gradient=1e-3 if args.corrupt else 0.0)
     status = "PASS" if err < args.threshold else "FAIL"  # a NaN error fails
     print(f"gradcheck {args.variant}: max relative error {err:.3e} at {worst} [{status}]")
     if status == "FAIL":
@@ -380,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--shape", default=None, help="e.g. 'n=4,c=8,d=6,input=6,hidden=5'")
     p_gc.add_argument("--seed", type=int, default=0)
     p_gc.add_argument("--epsilon", type=float, default=1e-5)
-    p_gc.add_argument("--scale", type=float, default=12.0,
+    p_gc.add_argument("--scale", type=float, default=GRADCHECK_SCALE,
                       help="re-scaling s used when the token does not set one")
     p_gc.add_argument("--threshold", type=float, default=GRADCHECK_THRESHOLD)
     p_gc.add_argument("--activation", choices=ACTIVATIONS, default="tanh")

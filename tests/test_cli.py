@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import multiprocessing
@@ -268,6 +269,16 @@ def assert_one_line_config_error(capsys):
 @pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])
 def usable_cpus(request, monkeypatch):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: request.param)
+
+
+def test_unpicklable_finish_rejected_before_the_pool(monkeypatch):
+    # the pool sends ``finish`` to its workers and hangs on one that does not pickle
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the worker pool was created")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(TypeError, match="^compare: finish .* cannot be sent to a worker"):
+        cli._train_each("compare", [("a", None), ("b", None)], lambda result, run: 1)
 
 
 class TestCompareCommand:

@@ -14,12 +14,9 @@ import sys
 import numpy as np
 import pytest
 
-from marginlab import geometry, hardness, losses
-from marginlab.cli import _parse_shape
+from marginlab import cli, geometry, hardness, losses
 from marginlab.config import build_config
-from marginlab.losses import LossConfig, Variant, central_difference, finite_difference_check
-from marginlab.model import EmbeddingNet, ModelSpec, init_class_weights
-from marginlab.seeds import named_rng
+from marginlab.losses import Variant, central_difference, finite_difference_check
 from marginlab.train import end_to_end_check, train
 from oracles import (
     sequential_central_difference,
@@ -36,14 +33,9 @@ LARGER_SHAPE = "n=16,c=64,d=16,input=16,hidden=16"
 def gradcheck_instance(shape, variant, activation, seed, order="F"):
     """The instance ``marginlab gradcheck`` checks, with the class weights in
     ``order``: ``init_class_weights`` returns an F-ordered array."""
-    dims = _parse_shape(shape)
-    spec = ModelSpec(layer_widths=(dims["input"], dims["hidden"], dims["d"]),
-                     activation=activation, seed=seed)
-    rng = named_rng(seed, "gradcheck")
-    inputs = rng.standard_normal((dims["n"], dims["input"]))
-    labels = rng.integers(0, dims["c"], size=dims["n"])
-    class_weights = np.asarray(init_class_weights(dims["c"], dims["d"], 1.0, seed), order=order)
-    return EmbeddingNet(spec), class_weights, inputs, labels, LossConfig(variant=variant, s=12.0)
+    model, class_weights, inputs, labels, config = cli.gradcheck_instance(
+        variant.value, shape, seed, activation)
+    return model, np.asarray(class_weights, order=order), inputs, labels, config
 
 
 @pytest.mark.parametrize("variant", list(Variant))

@@ -21,14 +21,7 @@ import numpy as np
 from . import hardness, losses, metrics, reports
 from .config import ExperimentConfig, build_config, load_config, variant_values
 from .data import evaluation_split, generate_dataset
-from .errors import (
-    ConfigParseError,
-    DivergedLoss,
-    EmptyPartition,
-    InfeasiblePairCount,
-    InsufficientPairs,
-    MarginLabError,
-)
+from .errors import ConfigParseError, DivergedLoss, InsufficientData, MarginLabError
 from .model import ACTIVATIONS, EmbeddingNet, ModelSpec, init_class_weights
 from .seeds import named_rng
 from .train import end_to_end_check, full_set_cosines, train
@@ -77,6 +70,16 @@ def final_metrics(result, experiment: ExperimentConfig) -> dict:
         "pearson_r": last.pearson_r if last else None,
         "overlap_rate": last.overlap_rate if last else None,
     }
+
+
+def _check_eval_pairs(experiment: ExperimentConfig) -> None:
+    """Raise, before any training, the InsufficientData ``final_metrics``
+    would raise after it: the eval split's labels cannot give the configured
+    pairs, or the pairs cannot fill the folds."""
+    ev = experiment.eval
+    labels = np.repeat(np.arange(experiment.n_classes), ev.samples_per_class)
+    metrics.build_pairs(labels, ev.n_positive_pairs, ev.n_negative_pairs, experiment.pairs_seed)
+    metrics.check_folds(ev.n_positive_pairs + ev.n_negative_pairs, ev.kfold)
 
 
 def _prepare_out_dir(experiment, out_override):
@@ -166,6 +169,7 @@ def _train_each(command, runs, finish):
 
 def cmd_train(args) -> int:
     experiment = _load_config(args)
+    _check_eval_pairs(experiment)
     out_dir = _prepare_out_dir(experiment, args.out)
     started = time.monotonic()
 
@@ -202,7 +206,10 @@ def cmd_compare(args) -> int:
     tokens = [t.strip() for t in args.variants.split(",") if t.strip()]
     if len(tokens) < 2:
         raise ConfigParseError("compare needs at least two variants")
+    if len(set(tokens)) < len(tokens):
+        raise ConfigParseError(f"--variants repeats a token: {','.join(tokens)}")
     variants = [(token, _with_token(experiment, token)) for token in tokens]
+    _check_eval_pairs(experiment)
     out_dir = _prepare_out_dir(experiment, args.out)
     started = time.monotonic()
 
@@ -314,7 +321,7 @@ def _nearest_histogram(result, run):
                              labels, run.loss.m0)
     try:
         return (run.model.embedding_dim, *scan.nearest_histogram()), None
-    except EmptyPartition as exc:
+    except InsufficientData as exc:
         return None, str(exc)
 
 
@@ -326,6 +333,8 @@ def cmd_dimstudy(args) -> int:
         raise ConfigParseError(f"bad --dims {args.dims!r}; expected a comma list of integers")
     if len(dims) < 2:
         raise ConfigParseError("dimstudy needs at least two embedding dimensions")
+    if len(set(dims)) < len(dims):
+        raise ConfigParseError(f"--dims repeats a width: {','.join(map(str, dims))}")
     hidden = experiment.model.layer_widths[:-1]
     runs = [(f"d={dim}", experiment.override({"model.layer_widths": (*hidden, dim)}))
             for dim in dims]
@@ -413,7 +422,7 @@ def main(argv=None) -> int:
     except ConfigParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasiblePairCount, InsufficientPairs) as exc:
+    except InsufficientData as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
     except MarginLabError as exc:

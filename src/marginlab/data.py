@@ -39,6 +39,9 @@ class SyntheticDatasetSpec:
             raise ValueError(f"concentration must be positive, got {self.concentration}")
         if not 0.0 <= self.crowding <= 1.0:
             raise ValueError(f"crowding must lie in [0, 1], got {self.crowding}")
+        if not -1.0 <= self.min_center_cosine <= 1.0:
+            raise ValueError(
+                f"min_center_cosine must lie in [-1, 1], got {self.min_center_cosine}")
 
 
 def _uniform_sphere(rng, n, d):

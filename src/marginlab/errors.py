@@ -1,8 +1,7 @@
-"""Exception types shared across the package.
-
-Every error below signals a contract violation at a module boundary; callers
-that can recover (the CLI, the training loop) catch the specific class and
-map it to an exit code or a partial result.
+"""Exception types shared across the package, one class per outcome a caller
+handles on its own: the CLI exits 2 on ``ConfigParseError`` (a ``config
+error:`` line), 4 on ``InsufficientData``, 3 on ``DivergedLoss`` and 2 on any
+other ``MarginLabError``.
 """
 
 
@@ -19,35 +18,19 @@ class ZeroNorm(MarginLabError):
 
 
 class DimensionMismatch(MarginLabError):
-    """Feature and weight vectors live in different dimensions."""
+    """An array's shape does not fit the arrays, model or cache it meets."""
+
+
+class InsufficientData(MarginLabError):
+    """Too few samples, pairs or distinct values for a statistic or metric."""
 
 
 class ConfigMismatch(MarginLabError):
     """A loss variant was invoked without the auxiliary inputs it needs."""
 
 
-class InsufficientSamples(MarginLabError):
-    """Fewer mis-classified samples than the statistic requires."""
-
-
-class DegenerateVariance(MarginLabError):
-    """A distance series is constant; correlation is undefined."""
-
-
-class EmptyPartition(MarginLabError):
-    """One side of the mis/well-classified split holds no samples."""
-
-
 class InfeasibleCrowding(MarginLabError):
     """The requested center cosine could not be reached while crowding."""
-
-
-class ShapeMismatch(MarginLabError):
-    """Array shapes disagree with the model or optimizer layout."""
-
-
-class StaleCache(MarginLabError):
-    """A backward pass received a cache from a different forward call."""
 
 
 class DivergedLoss(MarginLabError):
@@ -56,22 +39,6 @@ class DivergedLoss(MarginLabError):
     def __init__(self, message, log=None):
         super().__init__(message)
         self.log = log
-
-
-class InfeasiblePairCount(MarginLabError):
-    """More verification pairs were requested than the labels allow."""
-
-
-class DegenerateInput(MarginLabError):
-    """A metric needs at least one positive and one negative score."""
-
-
-class MissingMate(MarginLabError):
-    """A probe identity has no entry in the gallery."""
-
-
-class InsufficientPairs(MarginLabError):
-    """Too few pairs to populate every cross-validation fold."""
 
 
 class ConfigParseError(MarginLabError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, EmptyPartition, InsufficientSamples
+from .errors import InsufficientData
 from .geometry import cos_shifted
 
 DEFAULT_BINS = 50
@@ -91,11 +91,11 @@ class RowScan:
         r = mean_pos = mean_neg = rate = histograms = hardness_note = overlap_note = None
         try:
             r, mean_pos, mean_neg = self.correlation()
-        except (InsufficientSamples, DegenerateVariance) as exc:
+        except InsufficientData as exc:
             hardness_note = str(exc)
         try:
             rate, *histograms = self.overlap(n_bins)
-        except EmptyPartition as exc:
+        except InsufficientData as exc:
             overlap_note = str(exc)
         return {"n_misclassified": int(self.mis.sum()), "pearson_r": r,
                 "mean_pos_distance": mean_pos, "mean_neg_distance": mean_neg,
@@ -108,16 +108,16 @@ class RowScan:
 
         For every mis-classified row: d_pos = 1 - cos(theta_iy) and
         d_neg = 1 - max over j != y of cos(theta_ij), the nearest non-label
-        class. Raises InsufficientSamples below two rows and
-        DegenerateVariance when either series is constant.
+        class. Raises InsufficientData below two rows or when either series
+        is constant.
         """
         n_mis = int(self.mis.sum())
         if n_mis < 2:
-            raise InsufficientSamples(f"need >= 2 mis-classified samples, got {n_mis}")
+            raise InsufficientData(f"need >= 2 mis-classified samples, got {n_mis}")
         d_pos = 1.0 - self.pos_cos[self.mis]
         d_neg = 1.0 - self.nearest[self.mis]
         if np.ptp(d_pos) == 0.0 or np.ptp(d_neg) == 0.0:
-            raise DegenerateVariance("a distance series is constant")
+            raise InsufficientData("a distance series is constant")
         r = float(np.clip(np.corrcoef(d_pos, d_neg)[0, 1], -1.0, 1.0))
         return r, float(d_pos.mean()), float(d_neg.mean())
 
@@ -128,7 +128,7 @@ class RowScan:
         Both histograms use the same n_bins equal-width bins over [-1, 1] (so
         runs of different dimensionality stay comparable) and are normalized
         to sum to one; the overlap rate is their bin-wise intersection.
-        Raises ValueError below two bins and EmptyPartition when either group
+        Raises ValueError below two bins and InsufficientData when either group
         is empty.
         """
         if n_bins < 2:
@@ -136,7 +136,7 @@ class RowScan:
         mis = self.mis
         if not mis.any() or mis.all():
             group = "mis-classified" if not mis.any() else "well-classified"
-            raise EmptyPartition(f"no {group} rows among the {mis.size} scanned")
+            raise InsufficientData(f"no {group} rows among the {mis.size} scanned")
         h_mis, edges = np.histogram(self.pos_cos[mis], bins=n_bins, range=(-1.0, 1.0))
         h_well, _ = np.histogram(self.pos_cos[~mis], bins=n_bins, range=(-1.0, 1.0))
         h_mis = h_mis / h_mis.sum()
@@ -148,11 +148,11 @@ class RowScan:
 
         The input to the embedding-dimension robustness study. Returns
         (bin_edges, density) over n_bins equal-width bins on [-1, 1], with
-        density normalized to sum to one; raises EmptyPartition when nothing
+        density normalized to sum to one; raises InsufficientData when nothing
         is mis-classified.
         """
         if not self.mis.any():
-            raise EmptyPartition(f"no mis-classified rows among the {self.mis.size} scanned")
+            raise InsufficientData(f"no mis-classified rows among the {self.mis.size} scanned")
         counts, edges = np.histogram(self.nearest[self.mis], bins=n_bins, range=(-1.0, 1.0))
         return edges, counts / counts.sum()
 

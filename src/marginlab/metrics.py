@@ -10,13 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllRejected,
-    DegenerateInput,
-    InfeasiblePairCount,
-    InsufficientPairs,
-    MissingMate,
-)
+from .errors import AllRejected, DimensionMismatch, InsufficientData
 from .geometry import normalize_rows, row_blocks
 from .seeds import named_rng
 
@@ -55,7 +49,7 @@ def build_pairs(labels, n_positive: int, n_negative: int, seed: int) -> PairSet:
     labels = np.asarray(labels)
     n = labels.size
     if n_positive < 1 or n_negative < 1:
-        raise InfeasiblePairCount("need at least one positive and one negative pair")
+        raise InsufficientData("need at least one positive and one negative pair")
 
     # each class's members in index order, classes in ascending label order
     order = np.argsort(labels, kind="stable")
@@ -65,13 +59,13 @@ def build_pairs(labels, n_positive: int, n_negative: int, seed: int) -> PairSet:
     positives = np.concatenate([np.empty((0, 2), dtype=np.intp)] + [
         order[start + within[size]] for start, size in zip(starts.tolist(), sizes.tolist())])
     if len(positives) < n_positive:
-        raise InfeasiblePairCount(
+        raise InsufficientData(
             f"requested {n_positive} positive pairs, only {len(positives)} exist"
         )
     total = n * (n - 1) // 2
     n_cross = total - len(positives)
     if n_cross < n_negative:
-        raise InfeasiblePairCount(
+        raise InsufficientData(
             f"requested {n_negative} negative pairs, only {n_cross} exist"
         )
 
@@ -110,11 +104,11 @@ def _validated_scores(scores, flags):
     scores = np.asarray(scores, dtype=np.float64)
     flags = np.asarray(flags, dtype=bool)
     if scores.shape != flags.shape or scores.ndim != 1:
-        raise DegenerateInput("scores and flags must be matching 1-d arrays")
+        raise DimensionMismatch("scores and flags must be matching 1-d arrays")
     if not np.isfinite(scores).all():
-        raise DegenerateInput("scores must be finite")
+        raise InsufficientData("scores must be finite")
     if not flags.any() or flags.all():
-        raise DegenerateInput("need at least one positive and one negative score")
+        raise InsufficientData("need at least one positive and one negative score")
     return scores, flags
 
 
@@ -174,7 +168,7 @@ def rank1_identification(probe_embeddings, probe_labels, gallery_embeddings,
 
     missing = np.setdiff1d(probe_labels, gallery_labels)
     if missing.size:
-        raise MissingMate(f"probe labels missing from gallery: {missing[:5].tolist()}")
+        raise InsufficientData(f"probe labels missing from gallery: {missing[:5].tolist()}")
 
     best = np.empty(probes.shape[0], dtype=np.intp)
     for rows in row_blocks(probes.shape[0], candidates.shape[0]):
@@ -207,17 +201,21 @@ def _best_threshold(scores, flags):
     return candidates[np.argmax(accepted_pos - accepted_neg)]
 
 
+def check_folds(n: int, k: int) -> None:
+    """Raise InsufficientData unless ``n`` pairs fill ``k`` >= 2 folds."""
+    if k < 2:
+        raise InsufficientData(f"k must be >= 2, got {k}")
+    if n < k:
+        raise InsufficientData(f"{n} pairs cannot fill {k} folds")
+
+
 def kfold_threshold_accuracy(scores, flags, k: int, seed: int) -> float:
     """LFW-style protocol: per fold, tune the threshold on the other k-1
     folds and score the held-out fold; returns the mean accuracy."""
     scores, flags = _validated_scores(scores, flags)
-    if k < 2:
-        raise InsufficientPairs(f"k must be >= 2, got {k}")
-    n = scores.size
-    if n < k:
-        raise InsufficientPairs(f"{n} pairs cannot fill {k} folds")
+    check_folds(scores.size, k)
 
-    order = named_rng(seed, "folds").permutation(n)
+    order = named_rng(seed, "folds").permutation(scores.size)
     folds = np.array_split(order, k)
     accs = []
     for held_out in range(k):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, StaleCache
+from .errors import DimensionMismatch
 from .seeds import named_rng
 
 ACTIVATIONS = ("relu", "tanh")
@@ -75,11 +75,11 @@ class EmbeddingNet:
 
     def set_params(self, params) -> None:
         if len(params) != 2 * self.n_layers:
-            raise ShapeMismatch(f"expected {2 * self.n_layers} arrays, got {len(params)}")
+            raise DimensionMismatch(f"expected {2 * self.n_layers} arrays, got {len(params)}")
         for i in range(self.n_layers):
             w, b = params[2 * i], params[2 * i + 1]
             if w.shape != self.weights[i].shape or b.shape != self.biases[i].shape:
-                raise ShapeMismatch(f"layer {i} shape mismatch")
+                raise DimensionMismatch(f"layer {i} shape mismatch")
             self.weights[i] = np.asarray(w, dtype=np.float64)
             self.biases[i] = np.asarray(b, dtype=np.float64)
 
@@ -92,7 +92,7 @@ class EmbeddingNet:
         """(embeddings, cache); the cache holds what backward needs."""
         x = np.asarray(batch, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
-            raise ShapeMismatch(
+            raise DimensionMismatch(
                 f"batch shape {x.shape}, expected (*, {self.spec.input_dim})"
             )
         activations = [x]
@@ -123,10 +123,10 @@ class EmbeddingNet:
         """Gradients for every parameter, ordered like ``params``."""
         activations = cache["activations"]
         if len(activations) != self.n_layers + 1:
-            raise StaleCache("cache does not match the model depth")
+            raise DimensionMismatch("cache does not match the model depth")
         d_embeddings = np.asarray(d_embeddings, dtype=np.float64)
         if d_embeddings.shape != activations[-1].shape:
-            raise StaleCache(
+            raise DimensionMismatch(
                 f"d_embeddings shape {d_embeddings.shape} vs forward output "
                 f"{activations[-1].shape}"
             )
@@ -134,7 +134,7 @@ class EmbeddingNet:
         delta = d_embeddings
         for i in range(self.n_layers - 1, -1, -1):
             if activations[i].shape[1] != self.weights[i].shape[0]:
-                raise StaleCache(f"cache layer {i} width mismatch")
+                raise DimensionMismatch(f"cache layer {i} width mismatch")
             grads[2 * i] = activations[i].T @ delta
             grads[2 * i + 1] = delta.sum(axis=0)
             if i > 0:

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import DimensionMismatch
 
 
 @dataclass
@@ -41,10 +41,10 @@ def sgd_step(state: OptimizerState, params, grads):
     Returns (params, state) for convenience; both are mutated.
     """
     if len(params) != len(grads) or len(params) != len(state.buffers):
-        raise ShapeMismatch("params, grads and buffers must align")
+        raise DimensionMismatch("params, grads and buffers must align")
     for p, g, buf in zip(params, grads, state.buffers):
         if p.shape != g.shape or p.shape != buf.shape:
-            raise ShapeMismatch(f"shape mismatch: {p.shape} vs {g.shape} vs {buf.shape}")
+            raise DimensionMismatch(f"shape mismatch: {p.shape} vs {g.shape} vs {buf.shape}")
         buf *= state.momentum
         buf += g
         if state.weight_decay:

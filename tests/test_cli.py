@@ -3,14 +3,23 @@ import json
 import math
 import multiprocessing
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from marginlab import cli, reports
+from marginlab import cli, errors, reports
 from marginlab.cli import main
 from marginlab.config import load_config
-from marginlab.errors import ConfigParseError
+from marginlab.errors import (
+    ConfigMismatch,
+    ConfigParseError,
+    DimensionMismatch,
+    InfeasibleCrowding,
+    InsufficientData,
+    ZeroNorm,
+)
 from marginlab.losses import PROB_FLOOR
 from marginlab.reports import load_checkpoint, write_compare_csv, write_dimstudy_csv
 from marginlab.train import train
@@ -98,6 +107,15 @@ def test_readme_documents_the_headers():
 def config_path(tmp_path):
     path = tmp_path / "experiment.cfg"
     path.write_text(SMALL_CONFIG, encoding="utf-8")
+    return str(path)
+
+
+def small_config_with(tmp_path, *lines):
+    """Path of SMALL_CONFIG with ``lines`` in place of its lines of the same keys."""
+    keys = {line.split(" ")[0] for line in lines}
+    kept = [row for row in SMALL_CONFIG.splitlines() if row.split(" ")[0] not in keys]
+    path = tmp_path / "changed.cfg"
+    path.write_text("\n".join(kept + list(lines)) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -204,14 +222,12 @@ class TestTrainCommand:
         "loss.s = nan", "dataset.concentration = nan", "schedule.lr_initial = nan",
         "optimizer.momentum = 1.5", "optimizer.momentum = nan", "optimizer.weight_decay = -1",
         "eval.n_positive_pairs = 0", "eval.n_negative_pairs = 0", "eval.n_distractors = -3",
+        "dataset.min_center_cosine = 2", "dataset.min_center_cosine = -1.5",
     ])
     def test_bad_number_exits_before_training(self, tmp_path, capsys, line):
-        key = line.split(" ")[0]
-        kept = [row for row in SMALL_CONFIG.splitlines() if not row.startswith(key + " ")]
-        path = tmp_path / "bad.cfg"
-        path.write_text("\n".join(kept + [line]) + "\n", encoding="utf-8")
         out = tmp_path / "run"
-        assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+        assert main(["train", "--config", small_config_with(tmp_path, line),
+                     "--out", str(out)]) == 2
         assert_one_line_config_error(capsys)
         assert not out.exists()
 
@@ -259,6 +275,26 @@ class TestTrainCommand:
         assert read_json(os.path.join(out, "summary.json"))["diverged"] is True
 
 
+# the eval split of SMALL_CONFIG holds 8 x C(4, 2) = 48 positive pairs
+@pytest.mark.parametrize("lines, message", [
+    (["eval.n_positive_pairs = 100"], "requested 100 positive pairs, only 48 exist"),
+    (["eval.n_positive_pairs = 2", "eval.n_negative_pairs = 2"], "4 pairs cannot fill 5 folds"),
+], ids=["positives", "folds"])
+@pytest.mark.parametrize("command", [["train"], ["compare", "--variants", "arcface,npcface"]],
+                         ids=["train", "compare"])
+def test_infeasible_eval_pairs_exit_before_training(tmp_path, capsys, command, lines, message):
+    out = tmp_path / "run"
+    assert main([*command, "--config", small_config_with(tmp_path, *lines),
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"insufficient data: {message}\n"
+    assert not out.exists()
+
+
+def no_pairs_left(result, run):
+    """A ``final_metrics`` stand-in that fails in the worker, after training."""
+    raise InsufficientData("no pairs left")
+
+
 def assert_one_line_config_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
@@ -283,9 +319,10 @@ def test_unpicklable_finish_rejected_before_the_pool(monkeypatch):
 
 class TestCompareCommand:
     def test_identical_variants_identical_rows(self, config_path, tmp_path):
+        # two tokens for one config: the second spells out arcface's default margin
         out = str(tmp_path / "cmp")
         assert main(["compare", "--config", config_path, "--out", out,
-                     "--variants", "arcface,arcface"]) == 0
+                     "--variants", "arcface,arcface:m=0.5"]) == 0
         lines = read(os.path.join(out, "comparison.csv")).decode().splitlines()
         assert lines[0] == COMPARE_HEADER.replace("tar_at_far_<target>...",
                                                   "tar_at_far_0.2,tar_at_far_0.05")
@@ -349,15 +386,14 @@ class TestCompareCommand:
         # equal up to the rounding of the per-epoch mean over iterations
         assert floored == pytest.approx(-math.log(PROB_FLOOR), rel=1e-15)
 
-    def test_insufficient_data_in_a_worker_exit_code(self, tmp_path, capsys):
-        path = tmp_path / "pairs.cfg"
-        path.write_text(SMALL_CONFIG.replace("eval.n_positive_pairs = 30",
-                                             "eval.n_positive_pairs = 100000"), encoding="utf-8")
-        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "cmp"),
+    def test_insufficient_data_in_a_worker_exit_code(self, config_path, tmp_path, capsys,
+                                                     monkeypatch):
+        # compare checks the pair counts before it trains, so the workers' error is injected
+        monkeypatch.setattr(cli, "final_metrics", no_pairs_left)
+        assert main(["compare", "--config", config_path, "--out", str(tmp_path / "cmp"),
                      "--variants", "arcface,cosface,npcface"]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("insufficient data: requested 100000 positive pairs")
-        assert err.count("\n") == 1
+        assert err == "insufficient data: no pairs left\n"
         assert multiprocessing.active_children() == []
 
     def test_alpha_sweep_rows(self, config_path, tmp_path):
@@ -378,6 +414,13 @@ class TestCompareCommand:
                      "--variants", "arcface,npcface:t=abc"]) == 2
         assert_one_line_config_error(capsys)
         assert not (tmp_path / "x").exists()    # rejected before arcface trains
+
+    def test_repeated_token_rejected_before_training(self, config_path, tmp_path, capsys):
+        assert main(["compare", "--config", config_path, "--out", str(tmp_path / "x"),
+                     "--variants", "npcface,arcface,npcface"]) == 2
+        err = assert_one_line_config_error(capsys)
+        assert err == "config error: --variants repeats a token: npcface,arcface,npcface\n"
+        assert not (tmp_path / "x").exists()
 
     def test_invalid_later_token_rejected_before_training(self, config_path, tmp_path, capsys):
         assert main(["compare", "--config", config_path, "--out", str(tmp_path / "x"),
@@ -697,3 +740,34 @@ class TestDimstudyCommand:
                      "--out", str(tmp_path / "x"), "--dims", "4,0"]) == 2
         assert_one_line_config_error(capsys)
         assert not (tmp_path / "x").exists()    # rejected before d=4 trains
+
+    def test_repeated_width_rejected_before_training(self, config_path, tmp_path, capsys):
+        assert main(["dimstudy", "--config", config_path,
+                     "--out", str(tmp_path / "x"), "--dims", "6,6"]) == 2
+        err = assert_one_line_config_error(capsys)
+        assert err == "config error: --dims repeats a width: 6,6\n"
+        assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigParseError, 2, "config error: "), (InsufficientData, 4, "insufficient data: "),
+    (DimensionMismatch, 2, "error: "), (ConfigMismatch, 2, "error: "),
+    (ZeroNorm, 2, "error: "), (InfeasibleCrowding, 2, "error: "),
+], ids=lambda value: value.__name__ if isinstance(value, type) else None)
+def test_exit_code_table(monkeypatch, capsys, error, code, prefix):
+    def fail(args):
+        raise error("the message")
+
+    monkeypatch.setattr(cli, "cmd_train", fail)
+    assert main(["train", "--config", "unread.cfg"]) == code
+    assert capsys.readouterr().err == f"{prefix}the message\n"
+
+
+def test_every_error_class_is_raised():
+    # a class no module raises is dead; MarginLabError is only the base
+    source = "".join(path.read_text(encoding="utf-8")
+                     for path in pathlib.Path(errors.__file__).parent.glob("*.py"))
+    for name, value in vars(errors).items():
+        if isinstance(value, type) and issubclass(value, errors.MarginLabError) \
+                and value is not errors.MarginLabError:
+            assert re.search(rf"raise {name}\(", source), name

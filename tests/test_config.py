@@ -224,6 +224,8 @@ NAN_FIELDS = [
     (TrainingSchedule, {"total_epochs": 30}, "decay_factor"),
     (SyntheticDatasetSpec, {"n_classes": 4, "samples_per_class": 2, "input_dim": 3},
      "concentration"),
+    (SyntheticDatasetSpec, {"n_classes": 4, "samples_per_class": 2, "input_dim": 3},
+     "min_center_cosine"),
     (ModelSpec, {"layer_widths": (3, 2)}, "init_scale"),
     (OptimizerState, {"lr": 0.1}, "lr"), (OptimizerState, {"lr": 0.1}, "weight_decay"),
 ]

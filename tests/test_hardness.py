@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marginlab.errors import DegenerateVariance, EmptyPartition, InsufficientSamples
+from marginlab.errors import InsufficientData
 from marginlab.geometry import BLOCK_BYTES, cos_shifted, cosine_matrix, normalize_rows, row_blocks
 from marginlab.hardness import collaborative_margin, compute_mask, row_scan
 from marginlab.model import EmbeddingNet, ModelSpec, init_class_weights
@@ -117,14 +117,14 @@ class TestHardnessCorrelation:
     def test_constant_series_raises(self):
         cos = np.array([[0.5, 0.7, 0.0], [0.5, 0.7, -0.2]])
         labels = np.array([0, 0])
-        with pytest.raises(DegenerateVariance):
+        with pytest.raises(InsufficientData, match="^a distance series is constant$"):
             row_scan([cos.copy()], labels, 0.0).correlation()
 
     def test_insufficient_samples(self):
         cos = np.array([[0.9, 0.1], [0.8, 0.2]])
         labels = np.array([0, 0])
         scan = row_scan([cos.copy()], labels, 0.0)  # nothing mis-classified
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(InsufficientData, match="^need >= 2 mis-classified samples, got 0$"):
             scan.correlation()
 
     def test_matches_two_pass_pearson(self):
@@ -203,9 +203,9 @@ class TestSimilarityDistributions:
         cos = np.array([[0.9, 0.1], [0.8, 0.0]])
         labels = np.array([0, 0])
         # the message names the whole scan, not a batch
-        with pytest.raises(EmptyPartition, match="^no mis-classified rows among the 2 scanned$"):
+        with pytest.raises(InsufficientData, match="^no mis-classified rows among the 2 scanned$"):
             row_scan([cos.copy()], labels, 0.0).overlap()
-        with pytest.raises(EmptyPartition, match="^no well-classified rows among the 2 scanned$"):
+        with pytest.raises(InsufficientData, match="^no well-classified rows among the 2 scanned$"):
             row_scan([cos.copy()], 1 - labels, 0.0).overlap()
 
     def test_overlap_symmetric_in_groups(self):
@@ -265,7 +265,7 @@ class TestNearestNegativeHistogram:
         cos = np.array([[0.99, -0.9], [0.95, -0.8]])
         labels = np.array([0, 0])
         scan = row_scan([cos.copy()], labels, 0.0)
-        with pytest.raises(EmptyPartition, match="^no mis-classified rows among the 2 scanned$"):
+        with pytest.raises(InsufficientData, match="^no mis-classified rows among the 2 scanned$"):
             scan.nearest_histogram()
 
 
@@ -273,7 +273,7 @@ def outcome(fn, *args, **kwargs):
     """A call's result, or the type and message of what it raised."""
     try:
         return fn(*args, **kwargs)
-    except (ValueError, InsufficientSamples, DegenerateVariance, EmptyPartition) as exc:
+    except (ValueError, InsufficientData) as exc:
         return type(exc), str(exc)
 
 

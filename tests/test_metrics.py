@@ -6,13 +6,7 @@ import pytest
 from marginlab.config import build_config
 from marginlab.data import evaluation_split
 from marginlab.geometry import normalize_rows, row_blocks
-from marginlab.errors import (
-    AllRejected,
-    DegenerateInput,
-    InfeasiblePairCount,
-    InsufficientPairs,
-    MissingMate,
-)
+from marginlab.errors import AllRejected, InsufficientData
 from marginlab.metrics import (
     _best_threshold,
     build_pairs,
@@ -42,11 +36,11 @@ class TestBuildPairs:
         assert {a, b} in ({0, 1}, {2, 3})
 
     def test_too_many_positives(self):
-        with pytest.raises(InfeasiblePairCount):
+        with pytest.raises(InsufficientData, match="^requested 3 positive pairs, only 2 exist$"):
             build_pairs(np.array([0, 0, 1, 1]), 3, 1, seed=0)
 
     def test_too_many_negatives(self):
-        with pytest.raises(InfeasiblePairCount):
+        with pytest.raises(InsufficientData, match="^requested 5 negative pairs, only 4 exist$"):
             build_pairs(np.array([0, 0, 1, 1]), 1, 5, seed=0)
 
     def test_deterministic(self):
@@ -151,7 +145,8 @@ class TestRoc:
         assert np.all(np.diff(curve.tar) <= 0)
 
     def test_degenerate_input(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(InsufficientData,
+                           match="^need at least one positive and one negative score$"):
             roc(np.array([0.5, 0.6]), np.array([True, True]))
 
     def test_invariant_under_increasing_transform(self):
@@ -220,7 +215,7 @@ class TestRank1:
         assert rank1_identification(probe, [7], gallery, [7, 8], distractor) == 1.0
 
     def test_missing_mate(self):
-        with pytest.raises(MissingMate):
+        with pytest.raises(InsufficientData, match=r"^probe labels missing from gallery: \[5\]$"):
             rank1_identification(np.eye(2), [0, 5], np.eye(2), [0, 1], np.zeros((0, 2)))
 
     def test_matches_brute_force(self):
@@ -352,9 +347,9 @@ class TestKfoldAccuracy:
                 scores.tolist(), flags.tolist())
 
     def test_insufficient_pairs(self):
-        with pytest.raises(InsufficientPairs):
+        with pytest.raises(InsufficientData, match="^2 pairs cannot fill 5 folds$"):
             kfold_threshold_accuracy(np.array([0.5, 0.2]), np.array([True, False]), 5, seed=0)
-        with pytest.raises(InsufficientPairs):
+        with pytest.raises(InsufficientData, match="^k must be >= 2, got 1$"):
             kfold_threshold_accuracy(np.array([0.5, 0.2]), np.array([True, False]), 1, seed=0)
 
     def test_invariant_under_affine_transform(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from marginlab.errors import ShapeMismatch, StaleCache
+from marginlab.errors import DimensionMismatch
 from marginlab.losses import LossConfig, Variant
 from marginlab.model import EmbeddingNet, ModelSpec, init_class_weights
 from marginlab.optim import OptimizerState, TrainingSchedule, sgd_step
@@ -40,7 +40,7 @@ def test_forward_matches_scalar_loops():
 
 def test_shape_mismatch_on_bad_input():
     net = EmbeddingNet(ModelSpec(layer_widths=(3, 2), seed=0))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimensionMismatch, match=r"^batch shape \(2, 4\), expected \(\*, 3\)$"):
         net.forward(np.ones((2, 4)))
 
 
@@ -65,7 +65,8 @@ def test_backward_single_linear_closed_form():
 def test_stale_cache_detected():
     net = EmbeddingNet(ModelSpec(layer_widths=(3, 2), seed=0))
     _, cache = net.forward(np.ones((2, 3)))
-    with pytest.raises(StaleCache):
+    with pytest.raises(DimensionMismatch,
+                       match=r"^d_embeddings shape \(3, 2\) vs forward output \(2, 2\)$"):
         net.backward(cache, np.zeros((3, 2)))
 
 
@@ -165,7 +166,7 @@ class TestSgdStep:
     def test_shape_mismatch(self):
         p = [np.zeros(3)]
         state = OptimizerState.for_params(p, lr=0.1)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^shape mismatch: \(3,\) vs \(4,\) vs \(3,\)$"):
             sgd_step(state, p, [np.zeros(4)])
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import hardness, losses, metrics, reports
 from .config import ExperimentConfig, build_config, load_config, variant_values
-from .data import evaluation_split, generate_dataset
+from .data import class_centers, evaluation_split, generate_dataset
 from .errors import ConfigParseError, DivergedLoss, InsufficientData, MarginLabError
 from .model import ACTIVATIONS, EmbeddingNet, ModelSpec, init_class_weights
 from .seeds import named_rng
@@ -101,9 +101,13 @@ def _write_summary(out_dir, name, experiment, command, fields, started=None):
 
 
 def _load_config(args):
-    """The ``--config`` file with ``--seed``, if given, set as in the file."""
+    """The ``--config`` file with ``--seed``, if given, set as in the file.
+    Draws the class centers once, so that crowding that cannot be met raises
+    InfeasibleCrowding before anything is written."""
     experiment = load_config(args.config)
-    return experiment if args.seed is None else experiment.override({"seed": args.seed})
+    experiment = experiment if args.seed is None else experiment.override({"seed": args.seed})
+    class_centers(experiment.dataset)
+    return experiment
 
 
 def _with_token(experiment, token):

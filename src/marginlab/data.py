@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleCrowding
-from .geometry import normalize, normalize_rows
+from .geometry import normalize_rows
 from .seeds import named_rng
 
 CROWDING_ATTEMPTS = 1000
@@ -56,7 +56,7 @@ def _crowded_draw(rng, anchor, min_cosine):
     sigma = np.sqrt(max(1.0 / target**2 - 1.0, 0.0) / d) if target > 0 else 1.0
     for _ in range(CROWDING_ATTEMPTS):
         cand = anchor + sigma * rng.standard_normal(d)
-        cand = normalize(cand)
+        cand = cand / np.linalg.norm(cand)
         if float(cand @ anchor) >= min_cosine:
             return cand
     raise InfeasibleCrowding(
@@ -69,8 +69,6 @@ def class_centers(spec: SyntheticDatasetSpec) -> np.ndarray:
     rng = named_rng(spec.seed, "centers")
     centers = _uniform_sphere(rng, spec.n_classes, spec.input_dim)
     n_crowd = int(round(spec.crowding * spec.n_classes))
-    if n_crowd == 0:
-        return centers
     crowd_idx = np.sort(rng.choice(spec.n_classes, size=n_crowd, replace=False))
     crowd_set = set(int(i) for i in crowd_idx)
     anchors = [i for i in range(spec.n_classes) if i not in crowd_set]

@@ -16,21 +16,6 @@ SIN_LIMIT = 1e-12
 BLOCK_BYTES = 1 << 20
 
 
-def normalize(v) -> np.ndarray:
-    """Project a vector onto the unit sphere.
-
-    Raises ZeroNorm when the norm falls below ``DEFAULT_EPS``, which signals
-    a degenerate embedding rather than a numerical accident.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise DimensionMismatch(f"expected a 1-d vector, got shape {v.shape}")
-    n = float(np.linalg.norm(v))
-    if n < DEFAULT_EPS:
-        raise ZeroNorm(f"vector norm {n:.3e} below eps={DEFAULT_EPS:.1e}")
-    return v / n
-
-
 def normalize_rows(m, *, return_norms=False):
     """Row-wise unit normalization of an (n, d) matrix; with
     ``return_norms`` also the row norms it divided by."""

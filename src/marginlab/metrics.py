@@ -76,6 +76,8 @@ def build_pairs(labels, n_positive: int, n_negative: int, seed: int) -> PairSet:
     # block of draws is the stream of one scalar draw per endpoint (a, b, a,
     # b, ...); its pairs are accepted in draw order, as a draw-by-draw loop
     # would accept them. The rng is not used after the last pair is kept.
+    # A block's first keys and the kept keys are each distinct, so ``isin``
+    # may skip its ``np.unique``, which imports numpy.ma (~1.7 MB of RSS).
     neg_pick = np.empty((0, 2), dtype=np.intp)
     while len(neg_pick) < n_negative:
         draws = rng.integers(n, size=(n_negative - len(neg_pick), 2))
@@ -84,7 +86,7 @@ def build_pairs(labels, n_positive: int, n_negative: int, seed: int) -> PairSet:
         keys = draws[:, 0] * n + draws[:, 1]
         _, first = np.unique(keys, return_index=True)
         first.sort()
-        fresh = first[~np.isin(keys[first], neg_pick[:, 0] * n + neg_pick[:, 1])]
+        fresh = first[~np.isin(keys[first], neg_pick[:, 0] * n + neg_pick[:, 1], assume_unique=True)]
         neg_pick = np.concatenate([neg_pick, draws[fresh]])
     neg_pick = neg_pick[:n_negative]
 

@@ -64,11 +64,6 @@ class TrainResult:
     log: TrainingLog
 
 
-def _batch_slices(n: int, batch_size: int):
-    for start in range(0, n, batch_size):
-        yield slice(start, min(start + batch_size, n))
-
-
 def full_set_cosines(model: EmbeddingNet, class_weights, inputs):
     """Cosines of every input against every class, yielded in the row blocks
     of ``geometry.row_blocks`` (about 1 MiB each); the forward pass and both
@@ -123,8 +118,8 @@ def train(experiment) -> TrainResult:
         for epoch in range(1, schedule.total_epochs + 1):
             state.lr = schedule.lr_at(epoch)
             order = named_rng(experiment.shuffle_seed, "shuffle", epoch).permutation(len(labels))
-            for sl in _batch_slices(len(labels), schedule.batch_size):
-                idx = order[sl]
+            for start in range(0, len(labels), schedule.batch_size):
+                idx = order[start:start + schedule.batch_size]
                 batch, batch_labels = inputs[idx], labels[idx]
 
                 emb, cache = model.forward(batch)

@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -288,6 +290,39 @@ def test_infeasible_eval_pairs_exit_before_training(tmp_path, capsys, command, l
                  "--out", str(out)]) == 4
     assert capsys.readouterr().err == f"insufficient data: {message}\n"
     assert not out.exists()
+
+
+# at dataset seed 0 and input_dim 16, rounding keeps every crowded draw's
+# cosine below 1.0 (see tests/test_data.py::test_infeasible_crowding_raises)
+INFEASIBLE_CROWDING = ["dataset.n_classes = 20", "dataset.input_dim = 16",
+                       "model.layer_widths = 16,8,6", "dataset.crowding = 0.5",
+                       "dataset.min_center_cosine = 1.0", "dataset.seed = 0"]
+
+
+@pytest.mark.parametrize("command", [
+    ["train"], ["compare", "--variants", "arcface,npcface"], ["dimstudy", "--dims", "4,6"],
+], ids=["train", "compare", "dimstudy"])
+def test_infeasible_crowding_exits_before_writing(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    assert main([*command, "--config", small_config_with(tmp_path, *INFEASIBLE_CROWDING),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: cosine >= 1.0 not reached in 1000 attempts\n"
+    assert not out.exists()
+
+
+def test_pre_checks_leave_numpy_ma_unimported(config_path):
+    # numpy.ma holds ~1.7 MB that the CLI process, which runs only these
+    # checks before its workers train, would keep for its whole run
+    script = ("import argparse, sys\n"
+              "from marginlab import cli\n"
+              f"args = argparse.Namespace(config={config_path!r}, seed=None)\n"
+              "cli._check_eval_pairs(cli._load_config(args))\n"
+              "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def no_pairs_left(result, run):

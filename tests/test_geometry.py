@@ -6,38 +6,40 @@ from marginlab.geometry import (
     BLOCK_BYTES,
     cos_shifted,
     cosine_matrix,
-    normalize,
     normalize_rows,
     row_blocks,
 )
 
+from oracles import scalar_normalize
+
 
 def test_normalize_three_four_five():
-    np.testing.assert_allclose(normalize([3.0, 4.0]), [0.6, 0.8], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(normalize_rows([[3.0, 4.0]]), [[0.6, 0.8]], rtol=0, atol=1e-15)
 
 
 def test_normalize_already_unit():
-    np.testing.assert_array_equal(normalize([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(normalize_rows([[1.0, 0.0, 0.0]]), [[1.0, 0.0, 0.0]])
 
 
 def test_normalize_zero_vector_raises():
-    with pytest.raises(ZeroNorm):
-        normalize([0.0, 0.0])
+    with pytest.raises(ZeroNorm) as info:
+        normalize_rows([[0.0, 0.0]])
+    assert info.value.row == 0
 
 
 def test_normalize_norm_within_tolerance():
     rng = np.random.default_rng(0)
     for _ in range(200):
         v = rng.standard_normal(rng.integers(1, 12)) * 10.0 ** rng.integers(-3, 4)
-        assert abs(np.linalg.norm(normalize(v)) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(normalize_rows([v])) - 1.0) < 1e-9
 
 
 def test_normalize_idempotent():
     rng = np.random.default_rng(1)
     for _ in range(100):
         v = rng.standard_normal(6)
-        once = normalize(v)
-        np.testing.assert_allclose(normalize(once), once, rtol=0, atol=1e-12)
+        once = normalize_rows([v])
+        np.testing.assert_allclose(normalize_rows(once), once, rtol=0, atol=1e-12)
 
 
 def test_normalize_rows_matches_normalize():
@@ -45,7 +47,7 @@ def test_normalize_rows_matches_normalize():
     m = rng.standard_normal((5, 4))
     rows = normalize_rows(m)
     for i in range(5):
-        np.testing.assert_allclose(rows[i], normalize(m[i]), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rows[i], scalar_normalize(m[i]), rtol=0, atol=1e-15)
 
 
 def test_cosine_matrix_self_similarity():

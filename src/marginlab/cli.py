@@ -91,15 +91,6 @@ def _prepare_out_dir(experiment, out_override):
     return out_dir
 
 
-def _write_summary(out_dir, name, experiment, command, fields, started=None):
-    """Write ``name`` in ``out_dir``: the summary header of ``command``, then
-    ``fields``, then the seconds since ``started`` when it is given."""
-    payload = {**reports.summary_payload(experiment, command), **fields}
-    if started is not None:
-        payload["elapsed_seconds"] = round(time.monotonic() - started, 3)
-    reports.write_summary_json(os.path.join(out_dir, name), payload)
-
-
 def _load_config(args):
     """The ``--config`` file with ``--seed``, if given, set as in the file.
     Draws the class centers once, so that crowding that cannot be met raises
@@ -195,7 +186,8 @@ def cmd_train(args) -> int:
                                 experiment.schedule.total_epochs)
         fields["final_metrics"] = final_metrics(result, experiment)
         fields["epochs"] = [dataclasses.asdict(diag) for diag in log.epochs]
-    _write_summary(out_dir, "summary.json", experiment, "train", fields, started)
+    reports.write_summary_json(os.path.join(out_dir, "summary.json"), experiment, "train",
+                               fields, started)
 
     if diverged:
         return EXIT_DIVERGED
@@ -221,8 +213,8 @@ def cmd_compare(args) -> int:
 
     reports.write_compare_csv(os.path.join(out_dir, "comparison.csv"),
                               experiment.eval.far_targets, rows)
-    _write_summary(out_dir, "compare_summary.json", experiment, "compare",
-                   {"variants": dict(rows), "diverged": diverged}, started)
+    reports.write_summary_json(os.path.join(out_dir, "compare_summary.json"), experiment,
+                               "compare", {"variants": dict(rows), "diverged": diverged}, started)
     if diverged:
         return EXIT_DIVERGED
     print(f"compare: table in {out_dir}/comparison.csv")
@@ -237,7 +229,6 @@ def cmd_analyze(args) -> int:
     experiment, model, class_weights, epochs_trained = reports.load_checkpoint(args.checkpoint)
     if args.config:
         experiment = load_config(args.config)
-    out_dir = _prepare_out_dir(experiment, args.out)
     m0 = experiment.loss.m0 if args.m0 is None else args.m0
     if experiment.dataset.input_dim != model.spec.input_dim:
         raise ConfigParseError(
@@ -250,6 +241,7 @@ def cmd_analyze(args) -> int:
     inputs, labels = generate_dataset(experiment.dataset)
     scan = hardness.row_scan(full_set_cosines(model, class_weights, inputs), labels, m0)
     statistics, histograms = scan.statistics(args.bins)
+    out_dir = _prepare_out_dir(experiment, args.out)
 
     reports.write_correlation_csv(
         os.path.join(out_dir, "correlation.csv"),
@@ -257,8 +249,8 @@ def cmd_analyze(args) -> int:
     )
     if histograms:
         reports.write_histogram_csv(os.path.join(out_dir, "histogram.csv"), *histograms)
-    _write_summary(out_dir, "analyze_summary.json", experiment, "analyze",
-                   {"epochs_trained": epochs_trained, "m0": m0, **statistics})
+    reports.write_summary_json(os.path.join(out_dir, "analyze_summary.json"), experiment, "analyze",
+                               {"epochs_trained": epochs_trained, "m0": m0, **statistics})
     note = statistics["hardness_note"] or statistics["overlap_note"]
     if note:
         print(f"insufficient data: {note}", file=sys.stderr)
@@ -354,9 +346,9 @@ def cmd_dimstudy(args) -> int:
     reports.write_dimstudy_csv(os.path.join(out_dir, "dimstudy.csv"), blocks)
     intersections = {f"{a}:{b}": float(np.minimum(da, db).sum())
                      for i, (a, _, da) in enumerate(blocks) for b, _, db in blocks[i + 1:]}
-    _write_summary(out_dir, "dimstudy_summary.json", experiment, "dimstudy",
-                   {"dims": dims, "pairwise_intersection": intersections,
-                    "diverged": diverged, "undefined": undefined}, started)
+    reports.write_summary_json(os.path.join(out_dir, "dimstudy_summary.json"), experiment,
+                               "dimstudy", {"dims": dims, "pairwise_intersection": intersections,
+                                            "diverged": diverged, "undefined": undefined}, started)
     if diverged:
         return EXIT_DIVERGED
     if undefined:

@@ -2,12 +2,14 @@
 
 All files are UTF-8 with '\\n' line endings and floats written as their
 shortest round-trip repr, so identical runs produce byte-identical CSVs and
-checkpoints. The JSON summary additionally records elapsed wall time, which
-is the one field exempt from byte-identity.
+checkpoints. This module owns the JSON summary whole: its header, the
+command's results and the elapsed wall time, the one field exempt from
+byte-identity.
 """
 
 import csv
 import json
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -83,26 +85,21 @@ def write_compare_csv(path, far_targets, rows) -> None:
     ] for token, metrics in rows))
 
 
-def summary_payload(experiment: ExperimentConfig, command: str) -> dict:
-    return {
+def write_summary_json(path, experiment: ExperimentConfig, command: str, results: dict,
+                       started=None) -> None:
+    """Write the summary of ``command``: its header, then ``results``, then
+    the seconds since ``started`` (a ``time.monotonic`` reading) when given."""
+    payload = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
         "command": command,
         "seed": experiment.seed,
         "config_echo": experiment.raw_text,
-        "config_effective": {k: _jsonable(v) for k, v in experiment.flat_values().items()},
+        "config_effective": experiment.flat_values(),
+        **results,
     }
-
-
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
-def write_summary_json(path, payload: dict) -> None:
+    if started is not None:
+        payload["elapsed_seconds"] = round(time.monotonic() - started, 3)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

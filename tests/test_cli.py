@@ -121,6 +121,11 @@ def small_config_with(tmp_path, *lines):
     return str(path)
 
 
+# the keys every summary starts with, as README's Artifacts section lists them
+SUMMARY_HEADER = ("schema_version", "package_version", "command", "seed", "config_echo",
+                  "config_effective")
+
+
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -147,6 +152,8 @@ class TestTrainCommand:
 
         with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
             summary = json.load(fh)
+        assert list(summary) == [*SUMMARY_HEADER, "diverged", "iterations", "final_metrics",
+                                 "epochs", "elapsed_seconds"]
         assert summary["config_echo"] == SMALL_CONFIG
         assert summary["diverged"] is False
         assert "0.05" in summary["final_metrics"]["tar_at_far"]
@@ -246,8 +253,9 @@ class TestTrainCommand:
         with np.errstate(all="ignore"):
             assert main(["train", "--config", str(path), "--out", out]) == 3
         assert os.path.exists(os.path.join(out, "loss.csv"))
-        with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
-            assert json.load(fh)["diverged"] is True
+        summary = read_json(os.path.join(out, "summary.json"))
+        assert list(summary) == [*SUMMARY_HEADER, "diverged", "iterations", "elapsed_seconds"]
+        assert summary["diverged"] is True
 
     def test_collapsed_embeddings_exit_code_and_partial_artifacts(self, tmp_path, capsys):
         path = tmp_path / "collapse.cfg"
@@ -260,8 +268,9 @@ class TestTrainCommand:
         assert "hidden unit" not in err
         for name in ("loss.csv", "diagnostics.csv"):
             assert os.path.exists(os.path.join(out, name))
-        with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
-            assert json.load(fh)["diverged"] is True
+        summary = read_json(os.path.join(out, "summary.json"))
+        assert list(summary) == [*SUMMARY_HEADER, "diverged", "iterations", "elapsed_seconds"]
+        assert summary["diverged"] is True
 
     def test_first_iteration_collapse_names_the_dead_input(self, config_path, tmp_path, capsys):
         # at seed 5, training row 9 of the first batch has no positive hidden
@@ -274,7 +283,9 @@ class TestTrainCommand:
             "its input has no active hidden unit" in err
         for name in ("loss.csv", "diagnostics.csv"):
             assert os.path.exists(os.path.join(out, name))
-        assert read_json(os.path.join(out, "summary.json"))["diverged"] is True
+        summary = read_json(os.path.join(out, "summary.json"))
+        assert list(summary) == [*SUMMARY_HEADER, "diverged", "iterations", "elapsed_seconds"]
+        assert summary["diverged"] is True
 
 
 # the eval split of SMALL_CONFIG holds 8 x C(4, 2) = 48 positive pairs
@@ -404,6 +415,7 @@ class TestCompareCommand:
         assert [line.split(",")[0] for line in lines[1:]] == ["cosface", "arcface"]
         with open(os.path.join(out, "compare_summary.json"), encoding="utf-8") as fh:
             summary = json.load(fh)
+        assert list(summary) == [*SUMMARY_HEADER, "variants", "diverged", "elapsed_seconds"]
         assert summary["diverged"] == ["norm_softmax:s=1e300"]
         assert list(summary["variants"]) == ["cosface", "arcface"]
         assert multiprocessing.active_children() == []
@@ -488,7 +500,7 @@ class TestAnalyzeCommand:
         assert corr[1] == f"6,{last['pearson_r']!r},80"
         assert not os.path.exists(os.path.join(an, "histogram.csv"))
         summary = read_json(os.path.join(an, "analyze_summary.json"))
-        assert list(summary)[-len(STATISTIC_KEYS):] == list(STATISTIC_KEYS)
+        assert list(summary) == [*SUMMARY_HEADER, "epochs_trained", "m0", *STATISTIC_KEYS]
         assert summary["overlap_note"] == "no well-classified rows among the 80 scanned"
 
         # at m0 = 0 some rows are well classified and every statistic is defined
@@ -618,15 +630,24 @@ class TestAnalyzeCommand:
         assert analyzed == trained
 
     def test_more_classes_than_the_checkpoint_rejected(self, config_path, tmp_path, capsys):
+        # with a dataset that does not fit the checkpoint, or crowding no draw
+        # meets, analyze exits 2 before anything is written
         out = str(tmp_path / "run")
         main(["train", "--config", config_path, "--out", out])
-        wider = tmp_path / "wider.cfg"
-        wider.write_text(SMALL_CONFIG.replace("dataset.n_classes = 8", "dataset.n_classes = 30"),
-                         encoding="utf-8")
-        capsys.readouterr()
-        assert main(["analyze", "--checkpoint", os.path.join(out, "checkpoint.txt"),
-                     "--config", str(wider), "--out", str(tmp_path / "an")]) == 2
-        assert_one_line_config_error(capsys)
+        for lines, message in [
+            (["dataset.n_classes = 30"],
+             "config error: dataset n_classes 30 exceeds the checkpoint's 8 classifier rows"),
+            (["dataset.input_dim = 12", "model.layer_widths = 12,8,6"],
+             "config error: dataset input_dim 12 does not fit the checkpoint model (10)"),
+            (["dataset.crowding = 0.5", "dataset.min_center_cosine = 1.0", "dataset.seed = 7"],
+             "error: cosine >= 1.0 not reached in 1000 attempts"),
+        ]:
+            capsys.readouterr()
+            an = tmp_path / "an"
+            assert main(["analyze", "--checkpoint", os.path.join(out, "checkpoint.txt"),
+                         "--config", small_config_with(tmp_path, *lines), "--out", str(an)]) == 2
+            assert capsys.readouterr().err == message + "\n"
+            assert not an.exists()
 
 
 class TestGradcheckCommand:
@@ -719,6 +740,8 @@ class TestDimstudyCommand:
         lines = read(os.path.join(out, "dimstudy.csv")).decode().splitlines()
         assert sorted({line.split(",")[0] for line in lines[1:]}) == ["4", "6"]
         summary = read_json(os.path.join(out, "dimstudy_summary.json"))
+        assert list(summary) == [*SUMMARY_HEADER, "dims", "pairwise_intersection", "diverged",
+                                 "undefined", "elapsed_seconds"]
         assert summary["dims"] == [6, 4, 1]
         assert summary["diverged"] == ["d=1"]
         assert summary["undefined"] == {}
